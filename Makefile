@@ -61,9 +61,12 @@ certfuzz:
 	    -out _build/certfuzz-failures || exit 1; \
 	done
 
+# The last two drive Cv_core.Session end to end (about 15 s together).
 examples:
 	dune exec examples/quickstart.exe
 	dune exec examples/paper_example.exe
+	dune exec examples/collision_avoidance.exe
+	dune exec examples/continuous_loop.exe
 
 # requires odoc (not vendored): opam install odoc
 doc:

@@ -20,6 +20,13 @@
 
 let section title = Printf.printf "\n=== %s ===\n" title
 
+let print_round (r : Cv_core.Batch.job_result) =
+  Printf.printf "%s: %s via %s after %d attempts in %.3fs (%s)\n"
+    r.Cv_core.Batch.job_id
+    (Cv_core.Batch.verdict_name r.Cv_core.Batch.verdict)
+    (Option.value ~default:"-" r.Cv_core.Batch.decisive)
+    r.Cv_core.Batch.attempts r.Cv_core.Batch.seconds r.Cv_core.Batch.detail
+
 let advisories = [| "COC"; "WL"; "WR"; "SL"; "SR" |]
 
 (* Synthetic expert policy: score vector over advisories from encounter
@@ -88,14 +95,15 @@ let () =
     for _ = 1 to 400 do
       let x = Cv_interval.Box.sample rng train_region in
       x.(4) <- Cv_util.Rng.float rng ~lo:0. ~hi:0.72;
-      if Cv_core.Session.observe session x <> None then incr ood
+      match Cv_core.Session.observe session x with
+      | Cv_monitor.Monitor.Ood _ -> incr ood
+      | _ -> ()
     done;
     Printf.printf "OOD encounters: %d (pending %d)\n" !ood
       (Cv_core.Session.pending_ood session);
 
     section "4. SVuDC: absorb the enlarged operating region";
-    let r = Cv_core.Session.absorb_enlargement ~margin:0.002 session in
-    print_endline (Cv_core.Report.to_string r);
+    print_round (Cv_core.Session.absorb_enlargement ~margin:0.002 session);
 
     section "5. SVbTV: adopt a fine-tuned advisory network";
     let more =
@@ -108,8 +116,7 @@ let () =
     in
     let tuned, _ = Cv_nn.Train.fine_tune net more in
     Printf.printf "drift: %.5f\n" (Cv_nn.Network.param_dist_inf net tuned);
-    let r2 = Cv_core.Session.adopt session tuned in
-    print_endline (Cv_core.Report.to_string r2);
+    print_round (Cv_core.Session.adopt session tuned);
 
     section "6. Audit trail";
     List.iter

@@ -11,7 +11,20 @@ let m_evictions = Cv_util.Metrics.counter "cache.evictions"
 
 type stats = { hits : int; misses : int; evictions : int }
 
-type entry = { payload : Cv_util.Json.t; mutable tick : int }
+(* Entries of both tiers share one table: a value travels with the
+   [Type.Id] it was stored under, and a lookup under another id sees no
+   entry. *)
+type packed = Pack : 'a Type.Id.t * 'a -> packed
+
+type entry = { value : packed; mutable tick : int }
+
+let json_id : Cv_util.Json.t Type.Id.t = Type.Id.make ()
+
+let unpack : type a. a Type.Id.t -> packed -> a option =
+ fun id (Pack (id', v)) ->
+  match Type.Id.provably_equal id id' with
+  | Some Type.Equal -> Some v
+  | None -> None
 
 type t = {
   capacity : int;
@@ -103,12 +116,13 @@ let locked_touch t e =
   t.clock <- t.clock + 1;
   e.tick <- t.clock
 
-let locked_find_memory t key =
+let locked_find_memory t id key =
   match Hashtbl.find_opt t.table key with
   | None -> None
   | Some e ->
-    locked_touch t e;
-    Some e.payload
+    let v = unpack id e.value in
+    if Option.is_some v then locked_touch t e;
+    v
 
 (* Evict least-recently-used entries down to capacity. The backing
    directory is not touched: disk is the durable store, memory the
@@ -132,9 +146,9 @@ let locked_evict t =
       Cv_util.Metrics.incr m_evictions
   done
 
-let locked_insert t key payload =
+let locked_insert t key value =
   t.clock <- t.clock + 1;
-  Hashtbl.replace t.table key { payload; tick = t.clock };
+  Hashtbl.replace t.table key { value; tick = t.clock };
   locked_evict t
 
 let with_lock t f =
@@ -143,7 +157,7 @@ let with_lock t f =
 
 let find t ~fingerprint ~box_hash ~kind =
   let key = key_string ~fingerprint ~box_hash ~kind in
-  let from_memory = with_lock t (fun () -> locked_find_memory t key) in
+  let from_memory = with_lock t (fun () -> locked_find_memory t json_id key) in
   match from_memory with
   | Some payload ->
     count_hit t;
@@ -157,7 +171,7 @@ let find t ~fingerprint ~box_hash ~kind =
       match disk_load dir ~fingerprint ~box_hash ~kind with
       | Some payload ->
         (* Promote into the working set: the build was skipped. *)
-        with_lock t (fun () -> locked_insert t key payload);
+        with_lock t (fun () -> locked_insert t key (Pack (json_id, payload)));
         count_hit t;
         Some payload
       | None ->
@@ -177,15 +191,17 @@ let store t ~fingerprint ~box_hash ~kind payload =
      claims an entry the disk lost. *)
   persist t ~fingerprint ~box_hash ~kind payload;
   let key = key_string ~fingerprint ~box_hash ~kind in
-  with_lock t (fun () -> locked_insert t key payload)
+  with_lock t (fun () -> locked_insert t key (Pack (json_id, payload)))
 
-let find_or_build t ~fingerprint ~box_hash ~kind build =
-  let key = key_string ~fingerprint ~box_hash ~kind in
-  (* Returns [Ok payload] on a hit, [Error ()] once this caller holds
-     the build slot for [key]. *)
+(* The single-flight lookup behind both tiers. [load] consults the
+   backing store once this caller holds the build slot; [persist]
+   writes a fresh build through to it before it enters memory. *)
+let single_flight t id key ~load ~persist build =
+  (* Returns [Ok v] on a hit, [Error ()] once this caller holds the
+     build slot for [key]. *)
   let rec claim () =
-    match locked_find_memory t key with
-    | Some payload -> Ok payload
+    match locked_find_memory t id key with
+    | Some v -> Ok v
     | None ->
       if Hashtbl.mem t.building key then begin
         (* Single-flight: somebody else is building this exact
@@ -199,43 +215,43 @@ let find_or_build t ~fingerprint ~box_hash ~kind build =
       end
   in
   match with_lock t claim with
-  | Ok payload ->
+  | Ok v ->
     count_hit t;
-    payload
-  | Error () -> (
-    let release () =
-      with_lock t (fun () ->
-          Hashtbl.remove t.building key;
-          Condition.broadcast t.settled)
+    v
+  | Error () ->
+    (* A failed build or write caches nothing; releasing the slot lets
+       a waiter retry (and take it over). *)
+    Fun.protect ~finally:(fun () ->
+        with_lock t (fun () ->
+            Hashtbl.remove t.building key;
+            Condition.broadcast t.settled))
+    @@ fun () ->
+    let v =
+      match load () with
+      | Some v ->
+        count_hit t;
+        v
+      | None ->
+        count_miss t;
+        let v = build () in
+        persist v;
+        v
     in
-    (* Holding the build slot; check the backing store before paying
-       for a build. *)
-    match
-      match t.dir with
-      | None -> None
-      | Some dir -> disk_load dir ~fingerprint ~box_hash ~kind
-    with
-    | Some payload ->
-      with_lock t (fun () -> locked_insert t key payload);
-      release ();
-      count_hit t;
-      payload
-    | None -> (
-      count_miss t;
-      match build () with
-      | payload ->
-        (match persist t ~fingerprint ~box_hash ~kind payload with
-        | () -> with_lock t (fun () -> locked_insert t key payload)
-        | exception e ->
-          release ();
-          raise e);
-        release ();
-        payload
-      | exception e ->
-        (* A failed build caches nothing; a waiter retries (and takes
-           over the slot). *)
-        release ();
-        raise e))
+    with_lock t (fun () -> locked_insert t key (Pack (id, v)));
+    v
+
+let find_or_build t ~fingerprint ~box_hash ~kind build =
+  single_flight t json_id
+    (key_string ~fingerprint ~box_hash ~kind)
+    ~load:(fun () ->
+      Option.bind t.dir (fun dir -> disk_load dir ~fingerprint ~box_hash ~kind))
+    ~persist:(persist t ~fingerprint ~box_hash ~kind)
+    build
+
+let memo_or_build t id ~fingerprint ~box_hash ~kind build =
+  single_flight t id
+    (key_string ~fingerprint ~box_hash ~kind)
+    ~load:(fun () -> None) ~persist:ignore build
 
 (* ------------------------------------------------------------------ *)
 (* Typed payloads                                                      *)

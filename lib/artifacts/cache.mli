@@ -9,7 +9,8 @@
     where [fingerprint] is {!Artifacts.fingerprint} (a content hash of
     the network's weights, biases and activations), the box hash is a
     content hash of the box's canonical JSON, and [kind] names the
-    recipe (e.g. ["abstractions:symint:w=0"], ["lipschitz:Linf"]).
+    recipe (e.g. ["abstractions:symint:w=0"], ["lipschitz:Linf"],
+    ["netabs:adaptive:dout=<hash>"]).
     Content addressing gives invalidation for free: a fine-tuned network
     has a different fingerprint, so its keys can never collide with
     stale entries — a mismatched artifact is simply never found. It also
@@ -22,17 +23,23 @@
     — N identical queries cost one build regardless of the concurrency
     level, and hit/miss accounting stays deterministic.
 
-    The in-memory working set is bounded ([capacity] entries, LRU
-    eviction); an optional directory backs it with durable entries
-    written through the store's shared atomic writer
-    ({!Atomic_write.write}) inside the checksummed envelope, so a crash
-    mid-write never corrupts an entry and a corrupt/mismatched disk
-    entry degrades to a rebuild, never a wrong artifact.
+    Two tiers share the keys, the single-flight builds, the bounded
+    in-memory working set ([capacity] entries, LRU eviction) and the
+    accounting. JSON entries ({!find_or_build} and its typed wrappers)
+    may be backed by an optional directory of durable entries written
+    through the store's shared atomic writer ({!Atomic_write.write})
+    inside the checksummed envelope, so a crash mid-write never
+    corrupts an entry and a corrupt/mismatched disk entry degrades to a
+    rebuild, never a wrong artifact. Values with no JSON codec (SVbTV
+    network abstractions) live in the in-memory tier
+    ({!memo_or_build}), typed by a [Type.Id.t] and never written to
+    disk.
 
-    Effort accounting: every lookup bumps the global metrics counters
-    [cache.hits] / [cache.misses] / [cache.evictions] (surfaced by
-    [--stats] and the batch report) as well as per-cache counters
-    ({!stats}). *)
+    Effort accounting: every lookup of either tier bumps the global
+    metrics counters [cache.hits] / [cache.misses] / [cache.evictions]
+    (surfaced by [--stats]) as well as the per-cache counters
+    ({!stats}) that the batch report and the serve status records
+    print. Nothing else bumps [cache.*]. *)
 
 type t
 
@@ -76,6 +83,16 @@ val find_or_build :
   t -> fingerprint:string -> box_hash:string -> kind:string ->
   (unit -> Cv_util.Json.t) -> Cv_util.Json.t
 
+(** [memo_or_build t id ~fingerprint ~box_hash ~kind build] is
+    {!find_or_build} for the in-memory tier: any OCaml value, stored
+    under [id] and never written to disk. Whatever [build] returns is
+    cached — a [None] from an optional build too — so a hopeless build
+    is paid for once. An entry stored under another id reads as
+    absent. *)
+val memo_or_build :
+  t -> 'a Type.Id.t -> fingerprint:string -> box_hash:string ->
+  kind:string -> (unit -> 'a) -> 'a
+
 (** [boxes_or_build t ~fingerprint ~box_hash ~kind build] —
     {!find_or_build} specialised to box arrays (state-abstraction
     chains). A cached entry that fails to decode degrades to a rebuild;
@@ -96,7 +113,7 @@ val float_or_build :
 val stats : t -> stats
 
 (** [stats_to_json s] is [{"hits":..,"misses":..,"evictions":..}] — the
-    [cache] member of the batch report. *)
+    [cache] member of the batch report and the serve status record. *)
 val stats_to_json : stats -> Cv_util.Json.t
 
 (** [size t] is the current number of in-memory entries. *)

@@ -13,7 +13,6 @@ module Property = Cv_verify.Property
 module Artifacts = Cv_artifacts.Artifacts
 module Cache = Cv_artifacts.Cache
 module Analyzer = Cv_domains.Analyzer
-module Lipschitz = Cv_lipschitz.Lipschitz
 
 let src = Logs.Src.create "cv.batch" ~doc:"Batch verification scheduler"
 
@@ -22,11 +21,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 let m_jobs = Metrics.counter "batch.jobs"
 let m_crashed = Metrics.counter "batch.crashed"
 let m_resumed = Metrics.counter "batch.resumed"
-
-(* The netabs memo below feeds the same effort accounting as the JSON
-   cache (counters are interned by name, so these are the cache's own). *)
-let m_cache_hits = Metrics.counter "cache.hits"
-let m_cache_misses = Metrics.counter "cache.misses"
 
 type spec =
   | Verify of {
@@ -134,82 +128,6 @@ let job_result_of_json j =
     seconds = Json.to_float (Json.member "seconds" j);
     resumed = Json.to_bool (Json.member "resumed" j);
     detail = Json.to_str (Json.member "detail" j) }
-
-(* ------------------------------------------------------------------ *)
-(* Netabs memo                                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Network abstractions carry no JSON codec, so they cannot live in the
-   durable cache; instead they are interned in-process under the same
-   content-addressed keying and single-flight discipline, feeding the
-   same hit/miss accounting. The memoised value is the build {e result}
-   — [None] (build budget exhausted or unsupported network) is cached
-   too, so a hopeless build is paid for once per batch, not once per
-   job. *)
-module Memo = struct
-  type nonrec t = {
-    lock : Mutex.t;
-    settled : Condition.t;
-    table : (string, Netabs_reuse.t option) Hashtbl.t;
-    building : (string, unit) Hashtbl.t;
-    hits : int Atomic.t;
-    misses : int Atomic.t;
-  }
-
-  let create () =
-    { lock = Mutex.create ();
-      settled = Condition.create ();
-      table = Hashtbl.create 8;
-      building = Hashtbl.create 4;
-      hits = Atomic.make 0;
-      misses = Atomic.make 0 }
-
-  let count_hit m =
-    Atomic.incr m.hits;
-    Metrics.incr m_cache_hits
-
-  let count_miss m =
-    Atomic.incr m.misses;
-    Metrics.incr m_cache_misses
-
-  let with_lock m f =
-    Mutex.lock m.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock m.lock) f
-
-  let find_or_build m key build =
-    let rec claim () =
-      match Hashtbl.find_opt m.table key with
-      | Some v -> Ok v
-      | None ->
-        if Hashtbl.mem m.building key then begin
-          Condition.wait m.settled m.lock;
-          claim ()
-        end
-        else begin
-          Hashtbl.add m.building key ();
-          Error ()
-        end
-    in
-    match with_lock m claim with
-    | Ok v ->
-      count_hit m;
-      v
-    | Error () -> (
-      let release () =
-        with_lock m (fun () ->
-            Hashtbl.remove m.building key;
-            Condition.broadcast m.settled)
-      in
-      count_miss m;
-      match build () with
-      | v ->
-        with_lock m (fun () -> Hashtbl.replace m.table key v);
-        release ();
-        v
-      | exception e ->
-        release ();
-        raise e)
-end
 
 (* ------------------------------------------------------------------ *)
 (* Per-job checkpointing                                               *)
@@ -380,20 +298,13 @@ let verdict_of_containment = function
 (* The cached abstract route of a plain verify job: the chain is the
    content-addressed artifact, so the second job on the same
    (net, D_in, domain) skips the analysis entirely. *)
-let abstract_attempt ~config ?deadline ~fingerprint ~chain net (prop : Property.t)
-    () =
+let abstract_attempt ~config ?deadline ~chain net (prop : Property.t) () =
   let domain = config.strategy.Strategy.domain in
   let name = "abstract-" ^ Analyzer.domain_name domain in
-  let build () = Analyzer.abstractions ?deadline domain net prop.Property.din in
   let boxes, wall =
     Timer.time (fun () ->
-        match config.cache with
-        | None -> build ()
-        | Some c ->
-          Cache.boxes_or_build c ~fingerprint
-            ~box_hash:(Cache.box_hash prop.Property.din)
-            ~kind:("abstractions:" ^ Analyzer.domain_name domain ^ ":w=0")
-            build)
+        Strategy.chain ?cache:config.cache ?deadline domain net
+          prop.Property.din)
   in
   let n = Array.length boxes in
   let proved = n > 0 && Box.subset_tol boxes.(n - 1) prop.Property.dout in
@@ -405,23 +316,8 @@ let abstract_attempt ~config ?deadline ~fingerprint ~chain net (prop : Property.
     timing = Report.sequential_timing wall;
     detail = Printf.sprintf "%d layer abstractions" n }
 
-let cached_lipschitz ~config ~fingerprint net norm =
-  let kind_name = match norm with
-    | Lipschitz.Linf -> "Linf"
-    | Lipschitz.L2 -> "L2"
-    | Lipschitz.L1 -> "L1"
-  in
-  let build () = Lipschitz.global ~norm net in
-  match config.cache with
-  | None -> build ()
-  | Some c ->
-    Cache.float_or_build c ~fingerprint ~box_hash:Cache.no_box
-      ~kind:("lipschitz:" ^ kind_name)
-      build
-
 let run_verify ~config ?deadline ?checkpoint ?resume ~net ~prop ~exact
     ~artifact_out () =
-  let fingerprint = Artifacts.fingerprint net in
   if exact then begin
     let r =
       Strategy.solve_original_exact ?deadline ~config:config.strategy
@@ -442,19 +338,17 @@ let run_verify ~config ?deadline ?checkpoint ?resume ~net ~prop ~exact
     let chain = ref None in
     let report =
       Strategy.run_until_decisive ?deadline ?checkpoint ?resume
-        [ abstract_attempt ~config ?deadline ~fingerprint ~chain net prop;
+        [ abstract_attempt ~config ?deadline ~chain net prop;
           (fun () ->
             Strategy.full_verify ?deadline ~config:config.strategy net prop) ]
     in
     let settled = settled_of_report report in
     (match (artifact_out, settled.s_verdict) with
     | Some path, Safe ->
-      let lipschitz =
-        [ ("Linf", cached_lipschitz ~config ~fingerprint net Lipschitz.Linf);
-          ("L2", cached_lipschitz ~config ~fingerprint net Lipschitz.L2) ]
-      in
       let artifact =
-        Artifacts.make ?state_abstractions:!chain ~lipschitz ~property:prop
+        Artifacts.make ?state_abstractions:!chain
+          ~lipschitz:(Strategy.lipschitz ?cache:config.cache net)
+          ~property:prop
           ~net
           ~solver:(Option.value ~default:"batch" report.Report.decisive)
           ~solve_seconds:report.Report.total_wall ()
@@ -464,24 +358,27 @@ let run_verify ~config ?deadline ?checkpoint ?resume ~net ~prop ~exact
     settled
   end
 
-let svbtv_netabs ~config ~memo ~old_net ~(artifact : Artifacts.t) ~new_din =
+(* Network abstractions have no JSON codec, so they live in the cache's
+   in-memory tier. A [None] build (budget exhausted, unsupported
+   network) is cached too: a hopeless build is paid for once. *)
+let netabs_id : Netabs_reuse.t option Type.Id.t = Type.Id.make ()
+
+let svbtv_netabs ~config ~old_net ~(artifact : Artifacts.t) ~new_din =
   match config.cache with
   | None -> None (* reuse disabled along with the cache *)
-  | Some _ ->
+  | Some c ->
     let dout = artifact.Artifacts.property.Property.dout in
-    let key =
-      String.concat "\x00"
-        [ Artifacts.fingerprint old_net;
-          Cache.box_hash new_din;
-          "netabs:adaptive:dout=" ^ Cache.box_hash dout ]
-    in
-    Memo.find_or_build memo key (fun () ->
+    Cache.memo_or_build c netabs_id
+      ~fingerprint:(Artifacts.fingerprint old_net)
+      ~box_hash:(Cache.box_hash new_din)
+      ~kind:("netabs:adaptive:dout=" ^ Cache.box_hash dout)
+      (fun () ->
         try
           Netabs_reuse.build_adaptive ~max_refinements:4 old_net ~din:new_din
             ~dout
         with Cv_netabs.Netabs.Unsupported _ -> None)
 
-let dispatch ~config ~memo ?deadline ?checkpoint ?resume job =
+let dispatch ~config ?deadline ?checkpoint ?resume job =
   match job.spec with
   | Verify { net; prop; exact; artifact_out } ->
     run_verify ~config ?deadline ?checkpoint ?resume ~net ~prop ~exact
@@ -493,7 +390,7 @@ let dispatch ~config ~memo ?deadline ?checkpoint ?resume job =
          ?resume p)
   | Svbtv { old_net; new_net; artifact; new_din } ->
     let p = Problem.svbtv ~old_net ~new_net ~artifact ~new_din in
-    let netabs = svbtv_netabs ~config ~memo ~old_net ~artifact ~new_din in
+    let netabs = svbtv_netabs ~config ~old_net ~artifact ~new_din in
     settled_of_report
       (Strategy.solve_svbtv ?deadline ~config:config.strategy ?netabs
          ?checkpoint ?resume p)
@@ -504,7 +401,21 @@ let crashed_settled e =
     s_attempts = 0;
     s_detail = "crashed: " ^ Printexc.to_string e }
 
-let run_job ~config ~memo job =
+let row ~id ~mode ~seconds ~resumed s =
+  { job_id = id;
+    mode;
+    verdict = s.s_verdict;
+    decisive = s.s_decisive;
+    attempts = s.s_attempts;
+    seconds;
+    resumed;
+    detail = s.s_detail }
+
+let result_of_report ~id ~mode (r : Report.t) =
+  row ~id ~mode ~seconds:r.Report.total_wall ~resumed:false
+    (settled_of_report r)
+
+let run_job ~config job =
   Metrics.incr m_jobs;
   let mode = mode_name job.spec in
   match replay_done config job with
@@ -531,20 +442,11 @@ let run_job ~config ~memo job =
             Supervisor.protect ~name:("batch.job:" ^ job.id)
               ~fallback:crashed_settled
               (fun () ->
-                dispatch ~config ~memo ?deadline ?checkpoint ?resume job)
+                dispatch ~config ?deadline ?checkpoint ?resume job)
           with e -> crashed_settled e)
     in
     if settled.s_verdict = Crashed then Metrics.incr m_crashed;
-    let result =
-      { job_id = job.id;
-        mode;
-        verdict = settled.s_verdict;
-        decisive = settled.s_decisive;
-        attempts = settled.s_attempts;
-        seconds;
-        resumed;
-        detail = settled.s_detail }
-    in
+    let result = row ~id:job.id ~mode ~seconds ~resumed settled in
     record_done config job result;
     result
 
@@ -579,7 +481,6 @@ let validate_ids jobs =
 let run ?(config = default_config) jobs =
   validate_ids jobs;
   Option.iter ensure_dir config.checkpoint_dir;
-  let memo = Memo.create () in
   let arr = Array.of_list jobs in
   (* Never run more worker domains than the machine has cores: OCaml's
      minor collections are stop-the-world across domains, so
@@ -592,7 +493,7 @@ let run ?(config = default_config) jobs =
   let outcomes, wall_seconds =
     Timer.time (fun () ->
         (* FIFO admission: workers claim manifest slots in order. *)
-        Parallel.map_results ~domains (run_job ~config ~memo) arr)
+        Parallel.map_results ~domains (run_job ~config) arr)
   in
   let results =
     Array.to_list
@@ -604,27 +505,11 @@ let run ?(config = default_config) jobs =
                 domain dying outside it still degrades to one crashed
                 job. *)
              Metrics.incr m_crashed;
-             let s = crashed_settled e in
-             { job_id = arr.(i).id;
-               mode = mode_name arr.(i).spec;
-               verdict = s.s_verdict;
-               decisive = s.s_decisive;
-               attempts = s.s_attempts;
-               seconds = 0.;
-               resumed = false;
-               detail = s.s_detail })
+             row ~id:arr.(i).id ~mode:(mode_name arr.(i).spec) ~seconds:0.
+               ~resumed:false (crashed_settled e))
          outcomes)
   in
-  let cache_stats =
-    Option.map
-      (fun c ->
-        let s = Cache.stats c in
-        { Cache.hits = s.Cache.hits + Atomic.get memo.Memo.hits;
-          misses = s.Cache.misses + Atomic.get memo.Memo.misses;
-          evictions = s.Cache.evictions })
-      config.cache
-  in
-  { results; wall_seconds; cache_stats }
+  { results; wall_seconds; cache_stats = Option.map Cache.stats config.cache }
 
 (* ------------------------------------------------------------------ *)
 (* The consolidated report                                             *)

@@ -16,9 +16,9 @@
     Artifact reuse: state-abstraction chains and Lipschitz constants go
     through {!Cv_artifacts.Cache} (content-addressed, single-flight), so
     N queries against one network pay for one build; SVbTV network
-    abstractions (not JSON-serialisable) are interned in an in-process
-    single-flight memo under the same keying discipline and counted in
-    the same cache statistics. Cache hits skip the rebuild entirely.
+    abstractions (not JSON-serialisable) go through the cache's
+    in-memory tier under the same keying discipline and statistics.
+    Cache hits skip the rebuild entirely.
 
     Verdicts are a deterministic function of the manifest alone: they do
     not depend on the concurrency level, the job order, or cache
@@ -94,8 +94,8 @@ type t = {
   results : job_result list;  (** manifest order *)
   wall_seconds : float;
   cache_stats : Cv_artifacts.Cache.stats option;
-      (** JSON-cache plus netabs-memo accounting; [None] when the cache
-          is disabled *)
+      (** {!Cv_artifacts.Cache.stats} of the configured cache after the
+          run; [None] when the cache is disabled *)
 }
 
 (** [run ?config jobs] schedules and runs the whole manifest. Raises
@@ -103,6 +103,10 @@ type t = {
     ids that collide after filename sanitisation (a manifest authoring
     error, not a job failure). *)
 val run : ?config:config -> job list -> t
+
+(** [result_of_report ~id ~mode r] is the result row of a job settled
+    by [r] outside the scheduler (not resumed; seconds from [r]). *)
+val result_of_report : id:string -> mode:string -> Report.t -> job_result
 
 (** [report_to_json t] is the consolidated batch report
     ([contiver-batch-report-v1]) with a stable field order: schema,

@@ -1,43 +1,27 @@
-(** A continuous-verification session: the stateful object a deployment
-    actually keeps around.
+(** A continuous-verification session (see the interface for the
+    transitions and the commit-only-on-proved contract). *)
 
-    It owns the currently certified network, its proof artifact, and the
-    runtime monitor, and exposes the three events of the paper's
-    continuous-engineering loop as transitions:
-
-    - {!observe}: feed monitored feature vectors; OOD events accumulate;
-    - {!absorb_enlargement}: solve the pending SVuDC instance and, on
-      success, commit the enlarged domain and refresh the artifact;
-    - {!adopt}: solve the SVbTV instance for a fine-tuned candidate and,
-      on success, install it as the certified network;
-    - {!retarget}: solve the SVuSC instance for an evolved specification
-      and, on success, adopt the new [D_out].
-
-    Every transition appends to an audit {!history}; a rejected
-    transition leaves the session unchanged (the old certificate keeps
-    standing, which is exactly the safety story of the paper: the
-    deployed system only ever runs configurations whose proof is
-    current). *)
+module Json = Cv_util.Json
+module Box = Cv_interval.Box
+module Monitor = Cv_monitor.Monitor
+module Artifacts = Cv_artifacts.Artifacts
+module Property = Cv_verify.Property
 
 type event =
-  | Certified of string  (** initial certification (solver name) *)
-  | Ood_event of int  (** running OOD count after an observation *)
-  | Domain_enlarged of Report.t
-  | Domain_rejected of Report.t
-  | Version_adopted of Report.t
-  | Version_rejected of Report.t
-  | Spec_changed of Report.t
-  | Spec_rejected of Report.t
-  | Budget_exhausted of Report.t
-      (** a transition ran out of verification budget; the session is
-          unchanged and the old certificate keeps standing *)
+  | Certified of string
+  | Domain_enlarged of Batch.job_result
+  | Domain_rejected of Batch.job_result
+  | Version_adopted of Batch.job_result
+  | Version_rejected of Batch.job_result
+  | Spec_changed of Batch.job_result
+  | Spec_rejected of Batch.job_result
+  | Budget_exhausted of Batch.job_result
 
 (* Session-lifecycle accounting: one counter per transition kind, so a
    long-running deployment can report how often each continuous-
    engineering event fired (surfaced by `contiver --stats`). *)
 let m_event = function
   | Certified _ -> Cv_util.Metrics.counter "core.session.certified"
-  | Ood_event _ -> Cv_util.Metrics.counter "core.session.ood_events"
   | Domain_enlarged _ -> Cv_util.Metrics.counter "core.session.enlargements"
   | Domain_rejected _ ->
     Cv_util.Metrics.counter "core.session.enlargements_rejected"
@@ -54,237 +38,215 @@ let record_event e = Cv_util.Metrics.incr (m_event e)
 
 type t = {
   mutable net : Cv_nn.Network.t;
-  mutable artifact : Cv_artifacts.Artifacts.t;
-  monitor : Cv_monitor.Monitor.t;
-  config : Strategy.config;
+  mutable proof : Artifacts.t;  (** its [D_in] is the monitor's box *)
+  monitor : Monitor.t;
+  config : Batch.config;
   widen : float;
+  mutable rounds : int;
   mutable history : event list;  (** newest first *)
+}
+
+type saved = {
+  round : int;
+  pending : Cv_linalg.Vec.t list;
+  artifact : Artifacts.t;
 }
 
 let push s e =
   record_event e;
   s.history <- e :: s.history
 
-(** [certify ?deadline ?config ?widen net prop] runs the original
-    (exact) verification and opens a session; [Error] with the failure
-    report when the property does not hold or the budget expires (the
-    report's verdict distinguishes the two). *)
-let certify ?deadline ?(config = Strategy.default_config) ?(widen = 0.03) net
-    prop =
-  let original =
-    Strategy.solve_original_exact ?deadline ~config ~widen
-      ~with_split_cert:true net prop
-  in
-  if not original.Strategy.proved then Error original.Strategy.report
-  else begin
-    let e = Certified original.Strategy.artifact.Cv_artifacts.Artifacts.solver in
-    record_event e;
-    Ok
-      { net;
-        artifact = original.Strategy.artifact;
-        monitor = Cv_monitor.Monitor.of_box prop.Cv_verify.Property.din;
-        config;
-        widen;
-        history = [ e ] }
-  end
+let default_widen = 0.03
 
-(** [resume ?config ?widen net artifact] opens a session from a
-    persisted artifact without re-verifying; raises [Invalid_argument]
-    when the artifact does not match the network. *)
-let resume ?(config = Strategy.default_config) ?(widen = 0.03) net artifact =
-  if not (Cv_artifacts.Artifacts.matches artifact net) then
-    invalid_arg "Session.resume: artifact/network mismatch";
-  let e = Certified artifact.Cv_artifacts.Artifacts.solver in
+let restore ?(config = Batch.default_config) ?(widen = default_widen) net
+    (v : saved) =
+  if not (Artifacts.matches v.artifact net) then
+    invalid_arg "Session.restore: artifact/network mismatch";
+  let monitor = Monitor.of_box v.artifact.Artifacts.property.Property.din in
+  List.iter (fun x -> ignore (Monitor.observe monitor x)) v.pending;
+  let e = Certified v.artifact.Artifacts.solver in
   record_event e;
   { net;
-    artifact;
-    monitor =
-      Cv_monitor.Monitor.of_box
-        artifact.Cv_artifacts.Artifacts.property.Cv_verify.Property.din;
+    proof = v.artifact;
+    monitor;
     config;
     widen;
+    rounds = v.round;
     history = [ e ] }
 
-(** Typed failure of {!resume_file}. *)
+let resume ?config ?widen net artifact =
+  restore ?config ?widen net { round = 0; pending = []; artifact }
+
+let certify ?deadline ?(config = Batch.default_config) ?(widen = default_widen)
+    net prop =
+  let original =
+    Strategy.solve_original_exact ?deadline ~config:config.Batch.strategy
+      ~widen ~with_split_cert:true net prop
+  in
+  if original.Strategy.proved then
+    Ok (resume ~config ~widen net original.Strategy.artifact)
+  else Error original.Strategy.report
+
 type resume_error =
   | Corrupt_artifact of string
-      (** the file is unreadable, truncated, fails its checksum, or
-          violates the artifact schema *)
   | Artifact_mismatch of string
-      (** the artifact was produced for a different network *)
 
-(** [resume_error_message e] renders a one-line diagnosis. *)
 let resume_error_message = function
   | Corrupt_artifact msg -> msg
   | Artifact_mismatch msg -> msg
 
-(** [resume_file ?config ?widen net path] opens a session from an
-    artifact file, returning a typed error — never an exception — when
-    the file is corrupt or was produced for a different network. *)
 let resume_file ?config ?widen net path =
-  match Cv_artifacts.Artifacts.load_result path with
-  | Error e ->
-    Error (Corrupt_artifact (Cv_artifacts.Artifacts.load_error_message e))
+  match Artifacts.load_result path with
+  | Error e -> Error (Corrupt_artifact (Artifacts.load_error_message e))
   | Ok artifact ->
-    if not (Cv_artifacts.Artifacts.matches artifact net) then
+    if not (Artifacts.matches artifact net) then
       Error
         (Artifact_mismatch
            (Printf.sprintf
               "%s: artifact fingerprint does not match this network" path))
     else Ok (resume ?config ?widen net artifact)
 
-(** [network s] is the currently certified network. *)
+let save s =
+  { round = s.rounds;
+    pending =
+      List.map (fun ev -> ev.Monitor.features) (Monitor.events s.monitor);
+    artifact = s.proof }
+
+let saved_to_json v =
+  Json.Obj
+    [ ("round", Json.of_int v.round);
+      ("pending", Json.List (List.map Json.of_float_array v.pending));
+      ("artifact", Artifacts.to_json v.artifact) ]
+
+let saved_of_json j =
+  { round = Json.to_int (Json.member "round" j);
+    pending =
+      List.map Json.float_array (Json.to_list (Json.member "pending" j));
+    artifact = Artifacts.of_json (Json.member "artifact" j) }
+
 let network s = s.net
-
-(** [artifact s] is the current proof artifact. *)
-let artifact s = s.artifact
-
-(** [property s] is the currently certified property. *)
-let property s = s.artifact.Cv_artifacts.Artifacts.property
-
-(** [history s] lists transitions, oldest first. *)
+let artifact s = s.proof
+let property s = s.proof.Artifacts.property
+let box s = Monitor.current s.monitor
+let rounds s = s.rounds
 let history s = List.rev s.history
+let pending_ood s = Monitor.event_count s.monitor
+let kappa s = Monitor.kappa s.monitor
+let observe s features = Monitor.observe_class s.monitor features
 
-(** [pending_ood s] is the number of OOD events awaiting
-    {!absorb_enlargement}. *)
-let pending_ood s = Cv_monitor.Monitor.event_count s.monitor
+(* The one artifact refresh, run once a reuse proof holds for [net] over
+   [prop]: the widened chain and the Lipschitz constants go through the
+   session's cache, and a stored bisection certificate is repaired for
+   [net] and extended over any domain growth. The chain is kept only
+   when its [S_n] lies inside [D_out], as an artifact's chain must; a
+   failed chain build degrades to an artifact without one, so the next
+   round starts from a coarser route. *)
+let refresh s net (prop : Property.t) =
+  let cache = s.config.Batch.cache and strategy = s.config.Batch.strategy in
+  let chain =
+    match
+      Cv_util.Supervisor.run ~name:"session.refresh-chain" (fun () ->
+          Strategy.chain ?cache ~widen:s.widen strategy.Strategy.domain net
+            prop.Property.din)
+    with
+    | Ok c when Box.subset_tol c.(Array.length c - 1) prop.Property.dout ->
+      Some c
+    | Ok _ | Error _ | (exception _) -> None
+  in
+  let split_cert =
+    Option.bind s.proof.Artifacts.split_cert (fun cert ->
+        match
+          Cv_verify.Split_cert.repair ?domains:strategy.Strategy.domains cert
+            net
+        with
+        | Some cert'
+          when Box.subset_tol prop.Property.din
+                 cert'.Cv_verify.Split_cert.input_box ->
+          Some cert'
+        | _ ->
+          Cv_verify.Split_cert.prove net ~input_box:prop.Property.din
+            ~target:prop.Property.dout)
+  in
+  Artifacts.make ?state_abstractions:chain ?split_cert
+    ~lipschitz:(Strategy.lipschitz ?cache net)
+    ~property:prop ~net ~solver:"session-refresh"
+    ~solve_seconds:s.proof.Artifacts.solve_seconds ()
 
-(** [observe s features] feeds one monitored feature vector; returns the
-    OOD event when the vector escapes the certified domain. *)
-let observe s features =
-  let r = Cv_monitor.Monitor.observe s.monitor features in
-  (match r with
-  | Some _ -> push s (Ood_event (Cv_monitor.Monitor.event_count s.monitor))
-  | None -> ());
+(* The commit: box, network and refreshed artifact move together, and
+   only after the refresh has succeeded. *)
+let commit s net din =
+  let proof =
+    refresh s net (Property.make ~din ~dout:(property s).Property.dout)
+  in
+  Monitor.commit s.monitor din;
+  s.net <- net;
+  s.proof <- proof
+
+(* One SVuDC/SVbTV round: a one-job batch over the enlarged box, which
+   commits [candidate] with the box on a [Safe] verdict. *)
+let round ?deadline ?(margin = 0.005) s ~mode ~candidate spec =
+  let number = s.rounds + 1 in
+  let new_din = Monitor.enlarged_box ~margin s.monitor in
+  let job =
+    { Batch.id = Printf.sprintf "round-%04d-%s" number mode;
+      spec = spec new_din;
+      timeout = Option.map Cv_util.Deadline.remaining deadline }
+  in
+  let result = List.hd (Batch.run ~config:s.config [ job ]).Batch.results in
+  s.rounds <- number;
+  if result.Batch.verdict = Batch.Safe then commit s candidate new_din;
+  result
+
+let settle s (r : Batch.job_result) ~ok ~rejected =
+  push s
+    (match r.Batch.verdict with
+    | Batch.Safe -> ok r
+    | Batch.Exhausted -> Budget_exhausted r
+    | _ -> rejected r);
   r
 
-(* Refresh the stored artifact for a (possibly new) net and domain:
-   recompute the widened chain and Lipschitz constants; the D_out is
-   unchanged. Only called after a reuse proof succeeded, so the refresh
-   itself needs no solver. *)
-let refresh_artifact s net din =
-  let chain =
-    Cv_domains.Analyzer.abstractions ~widen:s.widen s.config.Strategy.domain net
-      din
-  in
-  let prop =
-    Cv_verify.Property.make ~din
-      ~dout:(property s).Cv_verify.Property.dout
-  in
-  let lipschitz =
-    [ ("Linf", Cv_lipschitz.Lipschitz.global ~norm:Cv_lipschitz.Lipschitz.Linf net);
-      ("L2", Cv_lipschitz.Lipschitz.global ~norm:Cv_lipschitz.Lipschitz.L2 net) ]
-  in
-  let chain_proves =
-    Cv_interval.Box.subset_tol
-      chain.(Array.length chain - 1)
-      prop.Cv_verify.Property.dout
-  in
-  (* Keep the bisection certificate alive too: repair it for the new
-     network, extending it over any domain growth. *)
-  let split_cert =
-    match s.artifact.Cv_artifacts.Artifacts.split_cert with
-    | None -> None
-    | Some cert -> (
-      match
-        Cv_verify.Split_cert.repair ?domains:s.config.Strategy.domains cert net
-      with
-      | Some cert' when
-          Cv_interval.Box.subset_tol din cert'.Cv_verify.Split_cert.input_box
-        ->
-        Some cert'
-      | _ ->
-        Cv_verify.Split_cert.prove net ~input_box:din
-          ~target:prop.Cv_verify.Property.dout)
-  in
-  Cv_artifacts.Artifacts.make
-    ?state_abstractions:(if chain_proves then Some chain else None)
-    ?split_cert ~lipschitz ~property:prop ~net ~solver:"session-refresh"
-    ~solve_seconds:s.artifact.Cv_artifacts.Artifacts.solve_seconds ()
+let absorb_enlargement ?deadline ?margin s =
+  round ?deadline ?margin s ~mode:"svudc" ~candidate:s.net (fun new_din ->
+      Batch.Svudc { net = s.net; artifact = s.proof; new_din })
+  |> settle s
+       ~ok:(fun r -> Domain_enlarged r)
+       ~rejected:(fun r -> Domain_rejected r)
 
-(** [absorb_enlargement ?deadline ?margin s] solves the pending SVuDC
-    instance for the monitored enlargement. On success the enlarged
-    domain is committed, the artifact refreshed, and the OOD log
-    cleared; on failure or budget expiry the session is unchanged.
-    Returns the reuse report either way. *)
-let absorb_enlargement ?deadline ?(margin = 0.005) s =
-  let new_din = Cv_monitor.Monitor.enlarged_box ~margin s.monitor in
-  let p = Problem.svudc ~net:s.net ~artifact:s.artifact ~new_din in
-  let report = Strategy.solve_svudc ?deadline ~config:s.config p in
-  (match report.Report.verdict with
-  | Report.Safe ->
-    Cv_monitor.Monitor.commit s.monitor new_din;
-    s.artifact <- refresh_artifact s s.net new_din;
-    push s (Domain_enlarged report)
-  | Report.Exhausted _ -> push s (Budget_exhausted report)
-  | _ -> push s (Domain_rejected report));
-  report
+let adopt ?deadline ?margin s candidate =
+  round ?deadline ?margin s ~mode:"svbtv" ~candidate (fun new_din ->
+      Batch.Svbtv
+        { old_net = s.net; new_net = candidate; artifact = s.proof; new_din })
+  |> settle s
+       ~ok:(fun r -> Version_adopted r)
+       ~rejected:(fun r -> Version_rejected r)
 
-(** [adopt ?deadline ?netabs s candidate] solves the SVbTV instance for
-    a fine-tuned candidate network (over the certified domain). On
-    success the candidate becomes the certified network and the artifact
-    is refreshed; on failure or budget expiry the old version keeps
-    running. *)
-let adopt ?deadline ?netabs s candidate =
-  let din = (property s).Cv_verify.Property.din in
-  let p =
-    Problem.svbtv ~old_net:s.net ~new_net:candidate ~artifact:s.artifact
-      ~new_din:din
-  in
-  let report = Strategy.solve_svbtv ?deadline ~config:s.config ?netabs p in
-  (match report.Report.verdict with
-  | Report.Safe ->
-    s.net <- candidate;
-    s.artifact <- refresh_artifact s candidate din;
-    push s (Version_adopted report)
-  | Report.Exhausted _ -> push s (Budget_exhausted report)
-  | _ -> push s (Version_rejected report));
-  report
-
-(** [retarget ?deadline s new_dout] solves the SVuSC instance for an
-    evolved specification; on success the artifact is rebuilt against
-    the new [D_out]; on budget expiry the session is unchanged. *)
 let retarget ?deadline s new_dout =
-  let p = Specchange.make ~net:s.net ~artifact:s.artifact ~new_dout () in
-  let report = Specchange.solve ?deadline ~config:s.config p in
-  (match report.Report.verdict with
-  | Report.Safe ->
-    let din = (property s).Cv_verify.Property.din in
-    let chain =
-      Cv_domains.Analyzer.abstractions ~widen:s.widen s.config.Strategy.domain
-        s.net din
-    in
-    let chain_proves =
-      Cv_interval.Box.subset_tol chain.(Array.length chain - 1) new_dout
-    in
-    s.artifact <-
-      Cv_artifacts.Artifacts.make
-        ?state_abstractions:(if chain_proves then Some chain else None)
-        ~lipschitz:s.artifact.Cv_artifacts.Artifacts.lipschitz
-        ~property:(Cv_verify.Property.make ~din ~dout:new_dout)
-        ~net:s.net ~solver:"session-retarget"
-        ~solve_seconds:s.artifact.Cv_artifacts.Artifacts.solve_seconds ();
-    push s (Spec_changed report)
-  | Report.Exhausted _ -> push s (Budget_exhausted report)
-  | _ -> push s (Spec_rejected report));
-  report
+  let p = Specchange.make ~net:s.net ~artifact:s.proof ~new_dout () in
+  let r =
+    Batch.result_of_report ~id:"retarget" ~mode:"svusc"
+      (Specchange.solve ?deadline ~config:s.config.Batch.strategy p)
+  in
+  if r.Batch.verdict = Batch.Safe then
+    s.proof <- refresh s s.net (Property.make ~din:(box s) ~dout:new_dout);
+  settle s r
+    ~ok:(fun r -> Spec_changed r)
+    ~rejected:(fun r -> Spec_rejected r)
 
-(** [event_string e] is a one-line audit entry. *)
-let event_string = function
+let event_string e =
+  let via what (r : Batch.job_result) =
+    Printf.sprintf "%s via %s" what (Option.value ~default:"?" r.Batch.decisive)
+  in
+  let why what (r : Batch.job_result) =
+    Printf.sprintf "%s: %s (%s)" what
+      (Batch.verdict_name r.Batch.verdict)
+      r.Batch.detail
+  in
+  match e with
   | Certified solver -> "certified (" ^ solver ^ ")"
-  | Ood_event n -> Printf.sprintf "OOD event (%d pending)" n
-  | Domain_enlarged r ->
-    Printf.sprintf "domain enlarged via %s"
-      (Option.value ~default:"?" r.Report.decisive)
-  | Domain_rejected _ -> "domain enlargement rejected"
-  | Version_adopted r ->
-    Printf.sprintf "new version adopted via %s"
-      (Option.value ~default:"?" r.Report.decisive)
-  | Version_rejected _ -> "candidate version rejected"
-  | Spec_changed r ->
-    Printf.sprintf "specification changed via %s"
-      (Option.value ~default:"?" r.Report.decisive)
-  | Spec_rejected _ -> "specification change rejected"
-  | Budget_exhausted r ->
-    Printf.sprintf "transition abandoned: %s"
-      (Report.outcome_string r.Report.verdict)
+  | Domain_enlarged r -> via "domain enlarged" r
+  | Domain_rejected r -> why "domain enlargement rejected" r
+  | Version_adopted r -> via "new version adopted" r
+  | Version_rejected r -> why "candidate version rejected" r
+  | Spec_changed r -> via "specification changed" r
+  | Spec_rejected r -> why "specification change rejected" r
+  | Budget_exhausted r -> why "transition abandoned" r

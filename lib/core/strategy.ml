@@ -32,6 +32,48 @@ let default_config =
     domains = None }
 
 (* ------------------------------------------------------------------ *)
+(* Artifact ingredients                                                *)
+(* ------------------------------------------------------------------ *)
+
+(** [lipschitz ?cache net] is the pair of global Lipschitz constants an
+    artifact records, [("Linf", ℓ∞); ("L2", ℓ₂)], each built through
+    [cache] (kind [lipschitz:<norm>]) when one is given. *)
+let lipschitz ?cache net =
+  let fingerprint = lazy (Cv_artifacts.Artifacts.fingerprint net) in
+  List.map
+    (fun (name, norm) ->
+      let build () = Cv_lipschitz.Lipschitz.global ~norm net in
+      ( name,
+        match cache with
+        | None -> build ()
+        | Some c ->
+          Cv_artifacts.Cache.float_or_build c
+            ~fingerprint:(Lazy.force fingerprint)
+            ~box_hash:Cv_artifacts.Cache.no_box ~kind:("lipschitz:" ^ name)
+            build ))
+    [ ("Linf", Cv_lipschitz.Lipschitz.Linf); ("L2", Cv_lipschitz.Lipschitz.L2) ]
+
+(** [chain ?cache ?deadline ?widen domain net din] is the
+    state-abstraction chain [S_1..S_n] of [net] over [din], built
+    through [cache] (kind [abstractions:<domain>:w=<widen>]) when one is
+    given. *)
+let chain ?cache ?deadline ?(widen = 0.) domain net din =
+  let build () =
+    Cv_domains.Analyzer.abstractions ?deadline ~widen domain net din
+  in
+  match cache with
+  | None -> build ()
+  | Some c ->
+    Cv_artifacts.Cache.boxes_or_build c
+      ~fingerprint:(Cv_artifacts.Artifacts.fingerprint net)
+      ~box_hash:(Cv_artifacts.Cache.box_hash din)
+      ~kind:
+        (Printf.sprintf "abstractions:%s:w=%g"
+           (Cv_domains.Analyzer.domain_name domain)
+           widen)
+      build
+
+(* ------------------------------------------------------------------ *)
 (* Original problem                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -56,9 +98,7 @@ let solve_original ?deadline ?(config = default_config) net prop =
           Cv_verify.Verifier.verify_with_abstractions ?deadline
             ~domain:config.domain ~fallback:config.engine net prop
         in
-        let ell_inf = Cv_lipschitz.Lipschitz.global ~norm:Cv_lipschitz.Lipschitz.Linf net in
-        let ell_l2 = Cv_lipschitz.Lipschitz.global ~norm:Cv_lipschitz.Lipschitz.L2 net in
-        (pr, [ ("Linf", ell_inf); ("L2", ell_l2) ]))
+        (pr, lipschitz net))
   in
   let pr, lipschitz = result in
   let proved =
@@ -87,15 +127,7 @@ let solve_original ?deadline ?(config = default_config) net prop =
 let solve_original_exact ?deadline ?(config = default_config) ?(widen = 0.02)
     ?(with_split_cert = false) ?checkpoint ?resume net prop =
   Cv_util.Trace.with_span "strategy.original_exact" @@ fun () ->
-  let lipschitz () =
-    let ell_inf =
-      Cv_lipschitz.Lipschitz.global ~norm:Cv_lipschitz.Lipschitz.Linf net
-    in
-    let ell_l2 =
-      Cv_lipschitz.Lipschitz.global ~norm:Cv_lipschitz.Lipschitz.L2 net
-    in
-    [ ("Linf", ell_inf); ("L2", ell_l2) ]
-  in
+  let lipschitz () = lipschitz net in
   let body () =
     let verdict, _range =
       Cv_verify.Range.verify_exact ?deadline ?checkpoint ?resume net prop
@@ -108,8 +140,7 @@ let solve_original_exact ?deadline ?(config = default_config) ?(widen = 0.02)
       else None
     in
     let s =
-      Cv_domains.Analyzer.abstractions ?deadline ~widen config.domain net
-        prop.Cv_verify.Property.din
+      chain ?deadline ~widen config.domain net prop.Cv_verify.Property.din
     in
     let chain_proves =
       Cv_interval.Box.subset_tol s.(Array.length s - 1)

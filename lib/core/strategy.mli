@@ -23,6 +23,25 @@ type config = {
     abstractions, ∞-norm Lipschitz). *)
 val default_config : config
 
+(** [lipschitz ?cache net] is the pair of global Lipschitz constants an
+    artifact records, [[("Linf", ℓ∞); ("L2", ℓ₂)]], each built through
+    [cache] (kind [lipschitz:<norm>]) when one is given. *)
+val lipschitz :
+  ?cache:Cv_artifacts.Cache.t -> Cv_nn.Network.t -> (string * float) list
+
+(** [chain ?cache ?deadline ?widen domain net din] is the
+    state-abstraction chain [S_1..S_n] of [net] over [din] (per-neuron
+    slack [widen], default 0), built through [cache] (kind
+    [abstractions:<domain>:w=<widen>]) when one is given. *)
+val chain :
+  ?cache:Cv_artifacts.Cache.t ->
+  ?deadline:Cv_util.Deadline.t ->
+  ?widen:float ->
+  Cv_domains.Analyzer.domain_kind ->
+  Cv_nn.Network.t ->
+  Cv_interval.Box.t ->
+  Cv_interval.Box.t array
+
 (** Result of solving the original verification problem from scratch. *)
 type original = {
   artifact : Cv_artifacts.Artifacts.t;

@@ -23,8 +23,9 @@ type observation =
   | In_distribution
   | Ood of event
   | Rejected
-      (** the vector had a non-finite component: counted, never
-          recorded — a NaN overshoot would poison κ forever *)
+      (** the vector had a non-finite component or the wrong length:
+          counted, never recorded — a NaN overshoot would poison κ
+          forever, and a length mismatch has no distance to the box *)
 
 type t = {
   lock : Mutex.t;
@@ -32,7 +33,7 @@ type t = {
   mutable seen : int;
   mutable events : event list;  (** most recent first *)
   mutable n_events : int;  (** [List.length events], maintained O(1) *)
-  mutable rejected : int;  (** non-finite observations discarded *)
+  mutable rejected : int;  (** malformed observations discarded *)
 }
 
 let m_ood = Cv_util.Metrics.counter "monitor.ood"
@@ -75,8 +76,8 @@ let events t = with_lock t (fun () -> List.rev t.events)
 (** [event_count t] is the number of pending OOD events. *)
 let event_count t = with_lock t (fun () -> t.n_events)
 
-(** [rejected_count t] is the number of non-finite observations
-    discarded so far. *)
+(** [rejected_count t] is the number of malformed (non-finite or
+    wrong-length) observations discarded so far. *)
 let rejected_count t = with_lock t (fun () -> t.rejected)
 
 let vec_finite x =
@@ -85,15 +86,16 @@ let vec_finite x =
   !ok
 
 (** [observe_class t x] feeds one feature vector and classifies it.
-    Non-finite vectors are rejected (counted, never recorded);
-    in-distribution vectors pass; out-of-distribution vectors are
-    recorded and returned as an event. The monitored box is {e not}
+    Non-finite and wrong-length vectors are rejected (counted, never
+    recorded); in-distribution vectors pass; out-of-distribution vectors
+    are recorded and returned as an event. The monitored box is {e not}
     changed — enlargement is an explicit engineering step
     ({!enlarged_box}). *)
 let observe_class t x =
   with_lock t @@ fun () ->
   t.seen <- t.seen + 1;
-  if not (vec_finite x) then begin
+  if Array.length x <> Cv_interval.Box.dim t.box || not (vec_finite x)
+  then begin
     t.rejected <- t.rejected + 1;
     Cv_util.Metrics.incr m_rejected;
     Rejected

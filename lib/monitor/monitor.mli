@@ -19,9 +19,10 @@ type observation =
   | In_distribution  (** inside the monitored box: nothing recorded *)
   | Ood of event  (** outside the box: recorded as a pending event *)
   | Rejected
-      (** the vector had a NaN or infinite component: counted via
-          {!rejected_count}, never recorded — a non-finite overshoot
-          would poison {!kappa} forever *)
+      (** the vector had a NaN or infinite component, or a length other
+          than the box's dimension: counted via {!rejected_count}, never
+          recorded — a non-finite overshoot would poison {!kappa}
+          forever *)
 
 type t
 
@@ -43,12 +44,12 @@ val events : t -> event list
 (** [event_count t] is the number of pending OOD events (O(1)). *)
 val event_count : t -> int
 
-(** [rejected_count t] is the number of non-finite observations
-    discarded so far. *)
+(** [rejected_count t] is the number of malformed (non-finite or
+    wrong-length) observations discarded so far. *)
 val rejected_count : t -> int
 
 (** [observe_class t x] feeds one feature vector and classifies it:
-    non-finite vectors are rejected and only counted, in-distribution
+    non-finite and wrong-length vectors are rejected and only counted, in-distribution
     vectors pass, out-of-distribution vectors are recorded and returned
     as an event. *)
 val observe_class : t -> Cv_linalg.Vec.t -> observation

@@ -8,10 +8,9 @@ module Monitor = Cv_monitor.Monitor
 module Artifacts = Cv_artifacts.Artifacts
 module Cache = Cv_artifacts.Cache
 module Batch = Cv_core.Batch
+module Session = Cv_core.Session
 module Strategy = Cv_core.Strategy
 module Runstate = Cv_core.Runstate
-module Lipschitz = Cv_lipschitz.Lipschitz
-module Analyzer = Cv_domains.Analyzer
 
 let src = Logs.Src.create "cv.serve.loop" ~doc:"Continuous verification loop"
 
@@ -47,16 +46,14 @@ let stop_reason_name = function
   | Stopped -> "signal"
 
 type persisted = {
-  p_round : int;
   p_commits : int;
   p_seen : int;
   p_ood : int;
   p_dropped : int;
   p_rejected : int;
   p_consumed : int;
-  p_box : Box.t;
-  p_pending : Cv_linalg.Vec.t list;
   p_failed_at : int option;
+  p_session : Session.saved;
 }
 
 type config = {
@@ -126,40 +123,30 @@ let state_path ~dir = Filename.concat dir "serve.state.json"
 
 let persisted_to_json p =
   Json.Obj
-    [ ("round", Json.of_int p.p_round);
-      ("commits", Json.of_int p.p_commits);
+    [ ("commits", Json.of_int p.p_commits);
       ("seen", Json.of_int p.p_seen);
       ("ood", Json.of_int p.p_ood);
       ("dropped", Json.of_int p.p_dropped);
       ("rejected", Json.of_int p.p_rejected);
       ("consumed", Json.of_int p.p_consumed);
-      ("box", Box.to_json p.p_box);
-      ("pending", Json.List (List.map Json.of_float_array p.p_pending));
       ( "failed_at",
         match p.p_failed_at with
         | None -> Json.Null
-        | Some n -> Json.of_int n ) ]
+        | Some n -> Json.of_int n );
+      ("session", Session.saved_to_json p.p_session) ]
 
 let persisted_of_json j =
-  let box =
-    match Box.of_json_result (Json.member "box" j) with
-    | Ok b -> b
-    | Error msg -> raise (Json.Error msg)
-  in
-  { p_round = Json.to_int (Json.member "round" j);
-    p_commits = Json.to_int (Json.member "commits" j);
+  { p_commits = Json.to_int (Json.member "commits" j);
     p_seen = Json.to_int (Json.member "seen" j);
     p_ood = Json.to_int (Json.member "ood" j);
     p_dropped = Json.to_int (Json.member "dropped" j);
     p_rejected = Json.to_int (Json.member "rejected" j);
     p_consumed = Json.to_int (Json.member "consumed" j);
-    p_box = box;
-    p_pending =
-      List.map Json.float_array (Json.to_list (Json.member "pending" j));
     p_failed_at =
       (match Json.member "failed_at" j with
       | Json.Null -> None
-      | v -> Some (Json.to_int v)) }
+      | v -> Some (Json.to_int v));
+    p_session = Session.saved_of_json (Json.member "session" j) }
 
 let load_state ~dir ~fingerprint =
   let path = state_path ~dir in
@@ -177,70 +164,46 @@ let load_state ~dir ~fingerprint =
 (* The service loop                                                    *)
 
 let run ?(config = default_config) ~net ~artifact ~source () =
-  let current_net = ref net in
-  let current_artifact = ref artifact in
   Option.iter
     (fun dir ->
       try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
     config.checkpoint_dir;
-  (* Committed rounds refresh the artifact in memory; a copy lives under
-     the checkpoint directory so a resumed daemon continues from the
-     refreshed proof (enlarged domain, rebuilt abstractions) instead of
-     the original one — keeping an interrupted round's re-run identical
-     to the uninterrupted schedule. *)
-  let saved_artifact_path =
-    Option.map
-      (fun dir -> Filename.concat dir "artifact.json")
-      config.checkpoint_dir
+  (* Every round is a one-job batch under this configuration: per-round
+     deadline, supervision, done-file replay and the shared cache. *)
+  let batch =
+    { Batch.default_config with
+      strategy = config.strategy;
+      job_timeout = config.round_timeout;
+      cache = config.cache;
+      checkpoint_dir = config.checkpoint_dir;
+      checkpoint_every = config.checkpoint_every }
   in
-  (match (config.resume, saved_artifact_path) with
-  | Some p, Some path when Sys.file_exists path -> (
-    match Artifacts.load_result path with
-    | Ok saved
-      when String.equal saved.Artifacts.network_fingerprint
-             (Artifacts.fingerprint net)
-           (* A kill can land between a commit's artifact refresh and
-              the next state snapshot; an artifact whose domain is not
-              contained in the persisted box is from that window —
-              ahead of the snapshot — and must not enlarge the resumed
-              monitor, or the OOD schedule would drift. *)
-           && Box.subset saved.Artifacts.property.Cv_verify.Property.din
-                p.p_box ->
-      current_artifact := saved
-    | Ok _ | Error _ -> ())
-  | _ -> ());
+  let session, base =
+    match config.resume with
+    | Some p ->
+      (Session.restore ~config:batch ~widen:config.widen net p.p_session, p)
+    | None ->
+      let s = Session.resume ~config:batch ~widen:config.widen net artifact in
+      ( s,
+        { p_commits = 0;
+          p_seen = 0;
+          p_ood = 0;
+          p_dropped = 0;
+          p_rejected = 0;
+          p_consumed = 0;
+          p_failed_at = None;
+          p_session = Session.save s } )
+  in
   (* Counters carry over from a restored state; queue drops are tracked
      by the queue itself on top of the restored base. *)
-  let base_dropped, round_count, commits, seen, ood, rejected, consumed =
-    match config.resume with
-    | None -> (0, ref 0, ref 0, ref 0, ref 0, ref 0, ref 0)
-    | Some p ->
-      ( p.p_dropped,
-        ref p.p_round,
-        ref p.p_commits,
-        ref p.p_seen,
-        ref p.p_ood,
-        ref p.p_rejected,
-        ref p.p_consumed )
-  in
-  let failed_at =
-    ref (match config.resume with None -> None | Some p -> p.p_failed_at)
-  in
-  let artifact_din () =
-    (!current_artifact).Artifacts.property.Cv_verify.Property.din
-  in
-  let monitor =
-    match config.resume with
-    | None -> Monitor.of_box (artifact_din ())
-    | Some p ->
-      (* Both boxes were proved; the monitor resumes from their join and
-         re-records the events that were still pending. *)
-      let m = Monitor.of_box (Box.join p.p_box (artifact_din ())) in
-      List.iter (fun feats -> ignore (Monitor.observe m feats)) p.p_pending;
-      m
-  in
+  let commits = ref base.p_commits in
+  let seen = ref base.p_seen in
+  let ood = ref base.p_ood in
+  let rejected = ref base.p_rejected in
+  let consumed = ref base.p_consumed in
+  let failed_at = ref base.p_failed_at in
   let queue = Event_queue.create ~capacity:config.queue_capacity () in
-  let dropped () = base_dropped + Event_queue.dropped queue in
+  let dropped () = base.p_dropped + Event_queue.dropped queue in
   let quiet_run = ref 0 in
   let eof = ref false in
   let idle = ref false in
@@ -250,17 +213,17 @@ let run ?(config = default_config) ~net ~artifact ~source () =
   let status_json ~final () =
     Json.Obj
       ([ ("schema", Json.Str "contiver-serve-status-v1");
-         ("rounds", Json.of_int !round_count);
+         ("rounds", Json.of_int (Session.rounds session));
          ("commits", Json.of_int !commits);
          ( "events",
            Json.Obj
              [ ("seen", Json.of_int !seen);
                ("ood", Json.of_int !ood);
-               ("pending", Json.of_int (Monitor.event_count monitor));
+               ("pending", Json.of_int (Session.pending_ood session));
                ("dropped", Json.of_int (dropped ()));
                ("rejected", Json.of_int !rejected) ] );
-         ("kappa", Json.Num (Monitor.kappa monitor));
-         ("box_width", Json.Num (Box.total_width (Monitor.current monitor)));
+         ("kappa", Json.Num (Session.kappa session));
+         ("box_width", Json.Num (Box.total_width (Session.box session)));
          ( "cache",
            match stats () with
            | None -> Json.Null
@@ -274,16 +237,14 @@ let run ?(config = default_config) ~net ~artifact ~source () =
   let status_sink = Checkpoint.create ~every:config.status_every config.status in
   let state_json () =
     persisted_to_json
-      { p_round = !round_count;
-        p_commits = !commits;
+      { p_commits = !commits;
         p_seen = !seen;
         p_ood = !ood;
         p_dropped = dropped ();
         p_rejected = !rejected;
         p_consumed = !consumed;
-        p_box = Monitor.current monitor;
-        p_pending = List.map (fun ev -> ev.Monitor.features) (Monitor.events monitor);
-        p_failed_at = !failed_at }
+        p_failed_at = !failed_at;
+        p_session = Session.save session }
   in
   let state_sink =
     Option.map
@@ -292,119 +253,38 @@ let run ?(config = default_config) ~net ~artifact ~source () =
             Runstate.save
               ~path:(state_path ~dir)
               ~kind:Runstate.Serve
-              ~fingerprint:(Artifacts.fingerprint !current_net)
+              ~fingerprint:(Artifacts.fingerprint (Session.network session))
               payload))
       config.checkpoint_dir
   in
-  (* On a proved round the artifact is refreshed for the committed box:
-     abstraction chain and Lipschitz constants go through the cache
-     (content-addressed), so a second round against the same network
-     reuses them. A failed chain rebuild degrades to an artifact without
-     abstractions — the next round just starts from a cheaper route. *)
-  let refresh_artifact box =
-    let net = !current_net in
-    let fingerprint = Artifacts.fingerprint net in
-    let domain = config.strategy.Strategy.domain in
-    let build_chain () =
-      Analyzer.abstractions ~widen:config.widen domain net box
-    in
-    let chain =
-      let build () =
-        match config.cache with
-        | None -> build_chain ()
-        | Some c ->
-          Cache.boxes_or_build c ~fingerprint ~box_hash:(Cache.box_hash box)
-            ~kind:
-              (Printf.sprintf "abstractions:%s:w=%g"
-                 (Analyzer.domain_name domain)
-                 config.widen)
-            build_chain
-      in
-      match Cv_util.Supervisor.run ~name:"serve.refresh-chain" build with
-      | Ok chain -> Some chain
-      | Error _ -> None
-      | exception _ -> None
-    in
-    let lip name norm =
-      let build () = Lipschitz.global ~norm net in
-      match config.cache with
-      | None -> build ()
-      | Some c ->
-        Cache.float_or_build c ~fingerprint ~box_hash:Cache.no_box
-          ~kind:("lipschitz:" ^ name) build
-    in
-    let property =
-      Cv_verify.Property.make ~din:box
-        ~dout:(!current_artifact).Artifacts.property.Cv_verify.Property.dout
-    in
-    let refreshed =
-      Artifacts.make
-        ?state_abstractions:chain
-        ~lipschitz:[ ("Linf", lip "Linf" Lipschitz.Linf); ("L2", lip "L2" Lipschitz.L2) ]
-        ~property ~net ~solver:"serve-transfer"
-        ~solve_seconds:(!current_artifact).Artifacts.solve_seconds ()
-    in
-    current_artifact := refreshed;
-    Option.iter (fun path -> Artifacts.save path refreshed) config.artifact_out;
-    Option.iter (fun path -> Artifacts.save path refreshed) saved_artifact_path
-  in
-  let run_round kind =
-    let number = !round_count + 1 in
-    let trigger_events = Monitor.event_count monitor in
-    let kappa = Monitor.kappa monitor in
-    let enlarged = Monitor.enlarged_box ~margin:config.margin monitor in
+  let run_round kind transition =
+    let trigger_events = Session.pending_ood session in
+    let kappa = Session.kappa session in
     (* Persist the exact pre-round state: a daemon killed mid-round
-       resumes here and re-derives the identical round (same id, same
-       enlarged box), so the round's done-file replays. *)
+       resumes here and the session re-derives the identical round (same
+       job id, same enlarged box), so the round's done-file replays. *)
     Checkpoint.save_opt state_sink state_json;
-    let id =
-      Printf.sprintf "round-%04d-%s" number
-        (round_kind_name
-           (match kind with `Svudc -> Svudc | `Svbtv _ -> Svbtv))
-    in
     Log.info (fun m ->
-        m "%s: %d pending events, kappa %.4f" id trigger_events kappa);
-    let spec =
-      match kind with
-      | `Svudc ->
-        Batch.Svudc
-          { net = !current_net; artifact = !current_artifact; new_din = enlarged }
-      | `Svbtv new_net ->
-        Batch.Svbtv
-          { old_net = !current_net;
-            new_net;
-            artifact = !current_artifact;
-            new_din = enlarged }
-    in
-    let batch_config =
-      { Batch.default_config with
-        strategy = config.strategy;
-        job_timeout = config.round_timeout;
-        cache = config.cache;
-        checkpoint_dir = config.checkpoint_dir;
-        checkpoint_every = config.checkpoint_every }
-    in
-    let batch =
-      Batch.run ~config:batch_config [ { Batch.id; spec; timeout = None } ]
-    in
-    let result = List.hd batch.Batch.results in
-    round_count := number;
+        m "round %d (%s): %d pending events, kappa %.4f"
+          (Session.rounds session + 1)
+          (round_kind_name kind) trigger_events kappa);
+    let result = transition () in
     Metrics.incr m_rounds;
     let committed = result.Batch.verdict = Batch.Safe in
     if committed then begin
-      (match kind with `Svbtv new_net -> current_net := new_net | `Svudc -> ());
-      Monitor.commit monitor enlarged;
-      refresh_artifact enlarged;
       incr commits;
       Metrics.incr m_commits;
-      failed_at := None
+      failed_at := None;
+      Option.iter
+        (fun path -> Artifacts.save path (Session.artifact session))
+        config.artifact_out
     end
     else
       (* Debounce gate: don't re-fire until new evidence arrives. *)
       failed_at := Some trigger_events;
     let round =
-      { number;
-        kind = (match kind with `Svudc -> Svudc | `Svbtv _ -> Svbtv);
+      { number = Session.rounds session;
+        kind;
         verdict = result.Batch.verdict;
         committed;
         seconds = result.Batch.seconds;
@@ -414,7 +294,7 @@ let run ?(config = default_config) ~net ~artifact ~source () =
     in
     rounds := round :: !rounds;
     Log.info (fun m ->
-        m "%s: %s%s%s" id
+        m "%s: %s%s%s" result.Batch.job_id
           (Batch.verdict_name result.Batch.verdict)
           (if committed then ", committed" else "")
           (if result.Batch.resumed then " (resumed)" else ""));
@@ -451,8 +331,10 @@ let run ?(config = default_config) ~net ~artifact ~source () =
             not
               (String.equal
                  (Artifacts.fingerprint reloaded)
-                 (Artifacts.fingerprint !current_net))
-          then run_round (`Svbtv reloaded)
+                 (Artifacts.fingerprint (Session.network session)))
+          then
+            run_round Svbtv (fun () ->
+                Session.adopt ~margin:config.margin session reloaded)
       end
   in
   let drain () =
@@ -462,7 +344,7 @@ let run ?(config = default_config) ~net ~artifact ~source () =
       | Some feats ->
         incr seen;
         Metrics.incr m_seen;
-        (match Monitor.observe_class monitor feats with
+        (match Session.observe session feats with
         | Monitor.In_distribution -> incr quiet_run
         | Monitor.Ood _ ->
           incr ood;
@@ -496,18 +378,19 @@ let run ?(config = default_config) ~net ~artifact ~source () =
     drain ();
     check_watch ();
     let ran_round =
-      let pending = Monitor.event_count monitor in
+      let pending = Session.pending_ood session in
       let fresh =
         match !failed_at with None -> pending > 0 | Some n -> pending > n
       in
       let loud =
         pending >= config.trigger_events
-        || Monitor.kappa monitor >= config.trigger_kappa
+        || Session.kappa session >= config.trigger_kappa
         || (!eof && pending > 0)
       in
       let settled = !quiet_run >= config.quiet_events || !idle in
       if fresh && loud && settled then begin
-        run_round `Svudc;
+        run_round Svudc (fun () ->
+            Session.absorb_enlargement ~margin:config.margin session);
         true
       end
       else false
@@ -515,7 +398,7 @@ let run ?(config = default_config) ~net ~artifact ~source () =
     if config.should_stop () then stop := Some Stopped
     else if
       match config.max_rounds with
-      | Some n -> !round_count >= n
+      | Some n -> Session.rounds session >= n
       | None -> false
     then stop := Some Rounds_limit
     else if !eof && (not ran_round) && Event_queue.length queue = 0 then
@@ -532,16 +415,16 @@ let run ?(config = default_config) ~net ~artifact ~source () =
   Checkpoint.save_opt state_sink state_json;
   Checkpoint.save status_sink (status_json ~final:true);
   { rounds = List.rev !rounds;
-    round_count = !round_count;
+    round_count = Session.rounds session;
     commits = !commits;
     seen = !seen;
     ood = !ood;
     dropped = dropped ();
     rejected = !rejected;
-    pending = Monitor.event_count monitor;
+    pending = Session.pending_ood session;
     consumed = !consumed;
-    box = Monitor.current monitor;
+    box = Session.box session;
     stop = (match !stop with Some r -> r | None -> Eof);
-    net = !current_net;
-    artifact = !current_artifact;
+    net = Session.network session;
+    artifact = Session.artifact session;
     cache_stats = stats () }

@@ -1,26 +1,29 @@
 (** The continuous-verification service: the paper's
     monitor→Δ_in→SVuDC / fine-tune→SVbTV engineering loop as a
-    long-running, event-driven daemon (promoted from
-    [examples/continuous_loop.ml]).
+    long-running, event-driven daemon, driving one
+    {!Cv_core.Session}.
 
-    One single-threaded event loop per service: poll the {!Source},
-    push observations through a bounded {!Event_queue} (drop-oldest
-    backpressure, every drop counted), drain them into the hardened
-    {!Cv_monitor.Monitor}, and debounce pending OOD events — by count,
-    by κ threshold, and by a quiet period — into SVuDC re-verification
-    rounds executed as {!Cv_core.Batch} jobs (supervised, per-round
-    deadline, {!Cv_artifacts.Cache} reuse). A watched network file whose
-    content fingerprint changes triggers an SVbTV round against the
-    fine-tuned network. The enlarged box is committed back to the
-    monitor {e only} on a proved verdict; on success the proof artifact
-    is refreshed for the committed box so the next round starts from it.
+    The session is the state machine: it classifies observations, runs
+    every round as a one-job {!Cv_core.Batch} run (per-round deadline,
+    supervision, done-file replay, {!Cv_artifacts.Cache} reuse), and
+    commits the enlarged box — with a fine-tuned network, for SVbTV —
+    and the refreshed artifact {e only} on a proved verdict. This module
+    keeps what is specific to a daemon: one single-threaded loop polls
+    the {!Source}, pushes observations through a bounded {!Event_queue}
+    (drop-oldest backpressure, every drop counted), drains them into the
+    session, and debounces pending OOD events — by count, by κ
+    threshold, and by a quiet period — into SVuDC rounds. A watched
+    network file whose content fingerprint changes triggers an SVbTV
+    round against the fine-tuned network.
 
-    Durability: the loop state (counters, monitored box, pending events,
-    consumed-frame count) is checkpointed under [checkpoint_dir] as a
-    {!Cv_core.Runstate} document of kind [Serve], and each round is a
-    batch job with its own done-file — a killed daemon restarted with
-    the saved state replays finished rounds from their done-files
-    instead of re-verifying, and reaches the identical verdict.
+    Durability: the loop state (counters, consumed-frame count, debounce
+    gate) and the session's durable state (round count, pending events,
+    artifact — whose [D_in] is the committed box) are checkpointed
+    together under [checkpoint_dir] as one {!Cv_core.Runstate} document
+    of kind [Serve]. Each round is a batch job with its own done-file —
+    a killed daemon restarted with the saved state re-derives the
+    interrupted round and replays it from its done-file instead of
+    re-verifying, reaching the identical verdict.
 
     Observability: [serve.*] metrics counters, a periodic one-line JSON
     status record ([contiver-serve-status-v1]) through [status], and a
@@ -50,16 +53,15 @@ val stop_reason_name : stop_reason -> string
 
 (** Loop state restored from a checkpoint (see {!load_state}). *)
 type persisted = {
-  p_round : int;
   p_commits : int;
   p_seen : int;
   p_ood : int;
   p_dropped : int;
   p_rejected : int;
   p_consumed : int;  (** source frames consumed; feed to [Stream.skip] *)
-  p_box : Cv_interval.Box.t;  (** committed monitored box *)
-  p_pending : Cv_linalg.Vec.t list;  (** events not yet covered *)
   p_failed_at : int option;  (** debounce gate after a failed round *)
+  p_session : Cv_core.Session.saved;
+      (** round count, pending events and artifact (committed box) *)
 }
 
 type config = {
@@ -118,7 +120,9 @@ val state_path : dir:string -> string
 
 (** [load_state ~dir ~fingerprint] reads the loop state back, validating
     envelope, kind and network fingerprint; [Ok None] when no state file
-    exists yet. *)
+    exists yet, [Error (Corrupt_checkpoint _)] for a file that does not
+    hold this layout (including one written before the session state
+    moved into it). *)
 val load_state :
   dir:string ->
   fingerprint:string ->
@@ -126,9 +130,9 @@ val load_state :
 
 (** [run ?config ~net ~artifact ~source ()] runs the service loop until
     the source ends, [max_rounds] is reached, or [should_stop] fires.
-    [artifact] must be a proof of the property over the monitored box
-    for [net] (the monitor starts from [artifact.property.din], joined
-    with the restored box when resuming). *)
+    [artifact] must be a proof of the property for [net]; the monitored
+    box starts at its [D_in]. With [config.resume] the session is
+    restored from the saved state instead, and [artifact] is unused. *)
 val run :
   ?config:config ->
   net:Cv_nn.Network.t ->

@@ -143,6 +143,71 @@ let test_cache_accounting () =
         5 s.Cache.hits)
     [ 1; 4 ]
 
+(* SVbTV network abstractions go through the cache's in-memory tier:
+   two jobs sharing (old net, D_in, D_out) build once, and the batch
+   report counts exactly what Cache.stats counts. *)
+let test_netabs_counted_by_cache () =
+  let svbtv id seed =
+    { Batch.id;
+      spec =
+        Batch.Svbtv
+          { old_net = net;
+            new_net =
+              Cv_nn.Network.map_layers
+                (Cv_nn.Layer.perturb ~rng:(Cv_util.Rng.create seed)
+                   ~sigma:0.001)
+                net;
+            artifact;
+            new_din = din };
+      timeout = None }
+  in
+  let cache = Cache.create () in
+  let t =
+    Batch.run
+      ~config:{ Batch.default_config with Batch.cache = Some cache }
+      [ svbtv "b1" 5; svbtv "b2" 6 ]
+  in
+  let s = Cache.stats cache in
+  Alcotest.(check int) "one netabs build" 1 s.Cache.misses;
+  Alcotest.(check int) "second job hits" 1 s.Cache.hits;
+  (match t.Batch.cache_stats with
+  | Some r ->
+    Alcotest.(check (pair int int)) "report = Cache.stats"
+      (s.Cache.hits, s.Cache.misses)
+      (r.Cache.hits, r.Cache.misses)
+  | None -> Alcotest.fail "cache stats missing");
+  Alcotest.(check string) "report json = Cache.stats"
+    (Json.to_string (Cache.stats_to_json s))
+    (Json.to_string (Json.member "cache" (Batch.report_to_json t)))
+
+(* The in-memory tier caches every build result (None included), is
+   typed by its id, and never reaches the backing directory. *)
+let test_memo_tier () =
+  let dir = Filename.temp_file "cv_memo" "" in
+  Sys.remove dir;
+  let c = Cache.create ~dir () in
+  let id : int option Type.Id.t = Type.Id.make () in
+  let builds = ref 0 in
+  let lookup () =
+    Cache.memo_or_build c id ~fingerprint:"f" ~box_hash:Cache.no_box
+      ~kind:"k" (fun () ->
+        incr builds;
+        None)
+  in
+  Alcotest.(check (option int)) "built" None (lookup ());
+  Alcotest.(check (option int)) "cached" None (lookup ());
+  Alcotest.(check int) "one build" 1 !builds;
+  let s = Cache.stats c in
+  Alcotest.(check (pair int int)) "1 hit, 1 miss" (1, 1)
+    (s.Cache.hits, s.Cache.misses);
+  Alcotest.(check int) "nothing on disk" 0 (Array.length (Sys.readdir dir));
+  let other : string Type.Id.t = Type.Id.make () in
+  Alcotest.(check string) "another id reads absent" "x"
+    (Cache.memo_or_build c other ~fingerprint:"f" ~box_hash:Cache.no_box
+       ~kind:"k" (fun () -> "x"));
+  Alcotest.(check bool) "invisible to the json tier" true
+    (Cache.find c ~fingerprint:"g" ~box_hash:Cache.no_box ~kind:"k" = None)
+
 let key_a = ("a", Cache.no_box, "k")
 let key_b = ("b", Cache.no_box, "k")
 
@@ -425,6 +490,9 @@ let () =
       ( "cache",
         [ Alcotest.test_case "hit/miss accounting" `Quick
             test_cache_accounting;
+          Alcotest.test_case "netabs counted by the cache" `Quick
+            test_netabs_counted_by_cache;
+          Alcotest.test_case "in-memory tier" `Quick test_memo_tier;
           Alcotest.test_case "lru eviction" `Quick test_cache_eviction;
           Alcotest.test_case "disk backing" `Quick test_cache_disk_backing;
           Alcotest.test_case "find_or_build builds once" `Quick

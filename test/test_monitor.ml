@@ -134,6 +134,24 @@ let test_non_finite_rejected () =
     (Array.for_all Float.is_finite
        (Cv_interval.Box.upper (Cv_monitor.Monitor.enlarged_box m)))
 
+(* Regression: a feature vector of the wrong length used to fall
+   through Box.mem into the OOD path, where the distance computation
+   raised and took the serving loop down. *)
+let test_wrong_length_rejected () =
+  let m = Cv_monitor.Monitor.of_samples ~buffer:0. samples in
+  List.iter
+    (fun x ->
+      match Cv_monitor.Monitor.observe_class m x with
+      | Cv_monitor.Monitor.Rejected -> ()
+      | _ ->
+        Alcotest.failf "length %d should be rejected" (Array.length x))
+    [ [| 1. |]; [| 0.5; 0.5; 0.5 |]; [||] ];
+  Alcotest.(check int) "nothing recorded" 0
+    (Cv_monitor.Monitor.event_count m);
+  Alcotest.(check int) "rejections counted" 3
+    (Cv_monitor.Monitor.rejected_count m);
+  check_float "kappa clean" 0. (Cv_monitor.Monitor.kappa m)
+
 (* Regression: observe from concurrent domains must not lose events
    (the record used to be bare mutable state with no lock). *)
 let test_concurrent_observe () =
@@ -280,6 +298,8 @@ let () =
             test_commit_keeps_later_events;
           Alcotest.test_case "non-finite rejected" `Quick
             test_non_finite_rejected;
+          Alcotest.test_case "wrong length rejected" `Quick
+            test_wrong_length_rejected;
           Alcotest.test_case "concurrent observe" `Quick
             test_concurrent_observe;
           Alcotest.test_case "events oldest first" `Quick

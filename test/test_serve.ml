@@ -1,8 +1,10 @@
 (* Tests of the continuous-verification service: the bounded event
    queue, scripted sources, full OOD→SVuDC→commit rounds checked against
-   a one-shot oracle, backpressure accounting, non-finite rejection,
-   cache reuse across rounds, and checkpoint/resume continuity — both
-   in-process and through the contiver binary (SIGKILL mid-round). *)
+   a one-shot oracle, backpressure accounting, malformed-vector
+   rejection, cache reuse across rounds, watch-file SVbTV rounds, the
+   refreshed artifact's chain guard, and checkpoint/resume continuity —
+   both in-process and through the contiver binary (SIGKILL
+   mid-round). *)
 
 module Json = Cv_util.Json
 module Box = Cv_interval.Box
@@ -235,10 +237,11 @@ let test_resume_continues_counters () =
     | Ok None -> Alcotest.fail "no state file"
     | Error e -> Alcotest.fail (Cv_core.Runstate.resume_error_message e)
   in
-  Alcotest.(check int) "persisted round" 1 state.Serve.p_round;
+  Alcotest.(check int) "persisted round" 1
+    state.Serve.p_session.Cv_core.Session.round;
   Alcotest.(check int) "persisted consumed" 7 state.Serve.p_consumed;
   Alcotest.(check int) "nothing left pending" 0
-    (List.length state.Serve.p_pending);
+    (List.length state.Serve.p_session.Cv_core.Session.pending);
   let config2 = { config with Serve.resume = Some state } in
   let t2 =
     Serve.run ~config:config2 ~net:toy_net ~artifact
@@ -257,6 +260,88 @@ let test_resume_continues_counters () =
     (fun p ->
       Alcotest.(check bool) "new events covered" true (Box.mem p t2.Serve.box))
     (ood_at 1.2)
+
+(* A refreshed artifact keeps its abstraction chain only when the last
+   box lies inside D_out: Props 1 and 2 rely on that containment. A
+   slack far too wide for D_out must leave the committed artifact
+   without a chain. *)
+let test_refresh_keeps_only_proving_chain () =
+  let artifact = Lazy.force toy_artifact in
+  let t =
+    Serve.run
+      ~config:{ quiet_config with Serve.widen = 10. }
+      ~net:toy_net ~artifact
+      ~source:(Source.of_bursts [ in_dist; ood_at 1.03 ])
+      ()
+  in
+  Alcotest.(check int) "one commit" 1 t.Serve.commits;
+  match Artifacts.final_abstraction t.Serve.artifact with
+  | None -> ()
+  | Some s_n ->
+    Alcotest.(check bool) "stored S_n inside D_out" true
+      (Box.subset_tol s_n toy_dout)
+
+(* A watched network file rewritten mid-run: a changed fingerprint runs
+   exactly one SVbTV round over the pending enlargement, while a rewrite
+   with identical bytes under a new mtime runs nothing. *)
+let watch_run ~rewrite_with ~ood =
+  let artifact = Lazy.force toy_artifact in
+  let path = Filename.temp_file "contiver_serve_watch" ".json" in
+  Cv_nn.Serialize.save_network path toy_net;
+  let calls = ref 0 in
+  let source () =
+    incr calls;
+    match !calls with
+    | 1 -> Source.Burst (in_dist @ ood)
+    | 2 ->
+      Cv_nn.Serialize.save_network path rewrite_with;
+      let mtime = (Unix.stat path).Unix.st_mtime +. 10. in
+      Unix.utimes path mtime mtime;
+      Source.Burst [ [| 0.; 0. |] ]
+    | _ -> Source.Eof
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Serve.run
+        ~config:{ quiet_config with Serve.watch = Some path }
+        ~net:toy_net ~artifact ~source ())
+
+let test_watch_file_svbtv_round () =
+  let tuned =
+    Cv_nn.Network.map_layers
+      (Cv_nn.Layer.perturb ~rng:(Cv_util.Rng.create 21) ~sigma:0.001)
+      toy_net
+  in
+  (* Two OOD events: below the trigger, so only the watch fires. *)
+  let ood = List.filteri (fun i _ -> i < 2) (ood_at 1.03) in
+  let t = watch_run ~rewrite_with:tuned ~ood in
+  let round =
+    match t.Serve.rounds with
+    | [ r ] -> r
+    | rs -> Alcotest.failf "expected one round, got %d" (List.length rs)
+  in
+  Alcotest.(check bool) "svbtv round" true (round.Serve.kind = Serve.Svbtv);
+  Alcotest.check batch_verdict "fine-tune proved" Batch.Safe
+    round.Serve.verdict;
+  Alcotest.(check bool) "committed exactly on safe" true
+    (round.Serve.committed = (round.Serve.verdict = Batch.Safe));
+  Alcotest.(check string) "new network installed"
+    (Artifacts.fingerprint tuned)
+    (Artifacts.fingerprint t.Serve.net);
+  Alcotest.(check bool) "artifact is for the new network" true
+    (Artifacts.matches t.Serve.artifact tuned);
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) "box committed with the network" true
+        (Box.mem p t.Serve.box))
+    ood;
+  Alcotest.(check int) "nothing pending" 0 t.Serve.pending;
+  let same = watch_run ~rewrite_with:toy_net ~ood:[] in
+  Alcotest.(check int) "identical bytes: no round" 0 same.Serve.round_count;
+  Alcotest.(check string) "network unchanged"
+    (Artifacts.fingerprint toy_net)
+    (Artifacts.fingerprint same.Serve.net)
 
 (* ------------------------------------------------------------------ *)
 (* Through the binary                                                  *)
@@ -351,8 +436,10 @@ let test_cli_stdin_round () =
     Json.to_string
       (Json.Obj [ ("features", Json.of_float_array (Array.of_list v)) ])
   in
+  (* A vector of the wrong length is rejected, not fatal. *)
   let lines =
-    List.init 4 (fun _ -> vec_line mid) @ List.init 3 ood_line
+    List.init 4 (fun _ -> vec_line mid) @ [ vec_line [ 1.; 2. ] ]
+    @ List.init 3 ood_line
   in
   write_file (path "events.ndjson") (String.concat "\n" lines ^ "\n");
   let code, text =
@@ -366,8 +453,10 @@ let test_cli_stdin_round () =
     (Json.to_int (Json.member "rounds" status));
   Alcotest.(check int) "one commit" 1
     (Json.to_int (Json.member "commits" status));
-  Alcotest.(check int) "saw all frames" 7 (events_field status "seen");
+  Alcotest.(check int) "saw all frames" 8 (events_field status "seen");
   Alcotest.(check int) "three ood" 3 (events_field status "ood");
+  Alcotest.(check int) "wrong length rejected" 1
+    (events_field status "rejected");
   Alcotest.(check string) "stopped at eof" "eof"
     (Json.to_str (Json.member "stop" status))
 
@@ -461,7 +550,11 @@ let () =
           Alcotest.test_case "cache reuse across rounds" `Quick
             test_cache_reuse_across_rounds;
           Alcotest.test_case "resume continues counters" `Quick
-            test_resume_continues_counters ] );
+            test_resume_continues_counters;
+          Alcotest.test_case "watch-file svbtv round" `Quick
+            test_watch_file_svbtv_round;
+          Alcotest.test_case "refresh keeps only a proving chain" `Quick
+            test_refresh_keeps_only_proving_chain ] );
       ( "cli",
         [ Alcotest.test_case "stdin ndjson round" `Quick test_cli_stdin_round;
           Alcotest.test_case "kill and resume" `Quick test_cli_kill_and_resume ] )
