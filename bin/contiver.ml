@@ -1070,7 +1070,7 @@ let simulate_cmd =
    semantic validation — artifact/network fingerprints, domain
    containment, shape agreement — happens inside the job, where a bad
    entry degrades to one crashed job instead of poisoning the run. *)
-let parse_batch_job ~resolve index j =
+let parse_batch_job ~resolve ~load_net index j =
   let str key = Cv_util.Json.to_str (Cv_util.Json.member key j) in
   let opt_str key =
     match Cv_util.Json.member_opt key j with
@@ -1091,7 +1091,7 @@ let parse_batch_job ~resolve index j =
   let spec =
     match mode with
     | "verify" | "verify-exact" ->
-      let net = load_network (resolve (str "model")) in
+      let net = load_net (str "model") in
       let prop = load_property (resolve (str "property")) in
       let exact =
         String.equal mode "verify-exact"
@@ -1104,7 +1104,7 @@ let parse_batch_job ~resolve index j =
       Cv_core.Batch.Verify { net; prop; exact; artifact_out }
     | "svudc" ->
       Cv_core.Batch.Svudc
-        { net = load_network (resolve (str "model"));
+        { net = load_net (str "model");
           artifact = load_artifact (resolve (str "artifact"));
           new_din = load_box (resolve (str "new_din")) }
     | "svbtv" ->
@@ -1116,20 +1116,33 @@ let parse_batch_job ~resolve index j =
           artifact.Cv_artifacts.Artifacts.property.Cv_verify.Property.din
       in
       Cv_core.Batch.Svbtv
-        { old_net = load_network (resolve (str "old"));
-          new_net = load_network (resolve (str "new"));
+        { old_net = load_net (str "old");
+          new_net = load_net (str "new");
           artifact;
           new_din }
     | m -> cli_fail "batch manifest: job %s: unknown mode %S" id m
   in
   { Cv_core.Batch.id; spec; timeout }
 
+(* Each model file is loaded once per manifest: jobs on one file share
+   one network value, so they share its memoized fingerprint and
+   prepared layers instead of rebuilding both per job. *)
 let load_manifest path =
   let dir = Filename.dirname path in
   let resolve p = if Filename.is_relative p then Filename.concat dir p else p in
+  let nets = Hashtbl.create 8 in
+  let load_net p =
+    let p = resolve p in
+    match Hashtbl.find_opt nets p with
+    | Some net -> net
+    | None ->
+      let net = load_network p in
+      Hashtbl.add nets p net;
+      net
+  in
   match Cv_util.Json.to_list (Cv_util.Json.member "jobs" (load_json path)) with
   | [] -> cli_fail "batch manifest: no jobs"
-  | jobs -> List.mapi (parse_batch_job ~resolve) jobs
+  | jobs -> List.mapi (parse_batch_job ~resolve ~load_net) jobs
   | exception Cv_util.Json.Error msg -> cli_fail "%s: %s" path msg
 
 let batch verbose manifest jobs timeout engine no_cache cache_dir

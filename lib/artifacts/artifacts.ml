@@ -23,39 +23,91 @@ type t = {
   solve_seconds : float;  (** original verification cost *)
 }
 
+(* The digest's activation tag: the display name, except that a
+   leaky-ReLU slope is written as its IEEE-754 bits — [to_string]'s
+   [%g] would give slopes 0.1 and 0.1000001 one fingerprint. *)
+let act_tag = function
+  | Cv_nn.Activation.Leaky_relu slope ->
+    Printf.sprintf "leaky_relu[%016Lx]" (Int64.bits_of_float slope)
+  | act -> Cv_nn.Activation.to_string act
+
+(* The digest input in one pre-sized buffer: per layer the activation
+   tag, the shape, then weights and biases as little-endian bit
+   patterns. *)
+let digest_input net =
+  let layers = Cv_nn.Network.layers net in
+  let tags = Array.map (fun (l : Cv_nn.Layer.t) -> act_tag l.Cv_nn.Layer.act) layers in
+  let size = ref 0 in
+  Array.iteri
+    (fun i (l : Cv_nn.Layer.t) ->
+      let w = l.Cv_nn.Layer.weights in
+      size :=
+        !size + String.length tags.(i) + 16
+        + (8 * Cv_linalg.Mat.rows w * Cv_linalg.Mat.cols w)
+        + (8 * Array.length l.Cv_nn.Layer.bias))
+    layers;
+  let buf = Bytes.create !size in
+  let pos = ref 0 in
+  let add_bits x =
+    Bytes.set_int64_le buf !pos (Int64.bits_of_float x);
+    pos := !pos + 8
+  in
+  Array.iteri
+    (fun i (l : Cv_nn.Layer.t) ->
+      Bytes.blit_string tags.(i) 0 buf !pos (String.length tags.(i));
+      pos := !pos + String.length tags.(i);
+      let w = l.Cv_nn.Layer.weights in
+      Bytes.set_int64_le buf !pos (Int64.of_int (Cv_linalg.Mat.rows w));
+      Bytes.set_int64_le buf (!pos + 8) (Int64.of_int (Cv_linalg.Mat.cols w));
+      pos := !pos + 16;
+      Array.iter add_bits (Cv_linalg.Mat.unsafe_data w);
+      Array.iter add_bits l.Cv_nn.Layer.bias)
+    layers;
+  buf
+
+(* Fingerprints are memoized on the physical identity of the network
+   value, under the invariant {!Cv_nn.Layer.prepare} already relies on:
+   nothing mutates a network after [Network.make]. A batch then hashes
+   each network once, not once per job; the ephemeron table lets
+   entries die with their network. *)
+module Memo = Ephemeron.K1.Make (struct
+  type t = Cv_nn.Network.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let memo : string Memo.t = Memo.create 16
+let memo_mutex = Mutex.create ()
+
 (** [fingerprint net] is a stable hash of a network's architecture and
-    parameters, used to detect artifact/network mismatches. Weights are
-    hashed as raw IEEE-754 bit patterns — exact, and an order of
-    magnitude faster than decimal formatting, which matters because the
-    fingerprint is recomputed per query as the artifact-cache key.
-    Layer shapes are part of the digest so two layers with the same
-    flattened weight stream but different dimensions cannot collide.
+    parameters, used to detect artifact/network mismatches and as the
+    artifact-cache key. Weights, biases and leaky-ReLU slopes are hashed
+    as raw IEEE-754 bit patterns — exact, and an order of magnitude
+    faster than decimal formatting. Layer shapes are part of the digest
+    so two layers with the same flattened weight stream but different
+    dimensions cannot collide. Computed once per network value.
 
     The result carries a scheme-version prefix ([v2:]): the raw-bits
     hash deliberately differs from the decimal-rendering scheme it
     replaced, so artifacts and checkpoints recorded under the old
     scheme fail to match and must be regenerated — the prefix makes
     that an explicit version break rather than apparent network
-    drift. *)
+    drift. One change was made inside [v2:]: a leaky-ReLU slope used to
+    enter as its [%g] rendering, which let distinct slopes collide. A
+    leaky network's artifacts and checkpoints recorded under that tag
+    are therefore refused as belonging to a different network, not as
+    a version break, and must be regenerated with [contiver verify];
+    networks without leaky-ReLU layers kept their fingerprints. *)
 let fingerprint net =
-  let buf = Buffer.create 4096 in
-  Array.iter
-    (fun (l : Cv_nn.Layer.t) ->
-      Buffer.add_string buf (Cv_nn.Activation.to_string l.Cv_nn.Layer.act);
-      let w = l.Cv_nn.Layer.weights in
-      let rows = Cv_linalg.Mat.rows w and cols = Cv_linalg.Mat.cols w in
-      Buffer.add_int64_le buf (Int64.of_int rows);
-      Buffer.add_int64_le buf (Int64.of_int cols);
-      for i = 0 to rows - 1 do
-        for j = 0 to cols - 1 do
-          Buffer.add_int64_le buf (Int64.bits_of_float (Cv_linalg.Mat.get w i j))
-        done
-      done;
-      Array.iter
-        (fun b -> Buffer.add_int64_le buf (Int64.bits_of_float b))
-        l.Cv_nn.Layer.bias)
-    (Cv_nn.Network.layers net);
-  "v2:" ^ Digest.to_hex (Digest.bytes (Buffer.to_bytes buf))
+  match Mutex.protect memo_mutex (fun () -> Memo.find_opt memo net) with
+  | Some fp -> fp
+  | None ->
+    (* Hashed outside the lock: concurrent first calls on one network
+       compute the same string, and the table keeps one of them. *)
+    let fp = "v2:" ^ Digest.to_hex (Digest.bytes (digest_input net)) in
+    Mutex.protect memo_mutex (fun () -> Memo.replace memo net fp);
+    fp
 
 (** [make ~property ~net ~solver ~solve_seconds ()] builds an artifact
     bundle; state abstractions and Lipschitz constants are optional and

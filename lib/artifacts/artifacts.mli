@@ -17,10 +17,16 @@ type t = {
 }
 
 (** [fingerprint net] is a stable hash of a network's architecture and
-    parameters, used to detect artifact/network mismatches. The value
-    carries a hashing-scheme version prefix (currently [v2:]), so a
-    scheme change invalidates stored artifacts as an explicit version
-    break rather than apparent network drift. *)
+    parameters (weights, biases and leaky-ReLU slopes by their exact
+    bits), used to detect artifact/network mismatches. It is computed
+    once per network value and memoized, as networks are immutable
+    after [Network.make]. The value carries a hashing-scheme version
+    prefix (currently [v2:]), so a scheme change invalidates stored
+    artifacts as an explicit version break rather than apparent network
+    drift. The exception is the leaky-ReLU tag, changed inside [v2:]
+    from the slope's [%g] rendering to its exact bits: a leaky
+    network's older artifacts and checkpoints are refused as belonging
+    to a different network and must be regenerated. *)
 val fingerprint : Cv_nn.Network.t -> string
 
 (** [make ?state_abstractions ?lipschitz ~property ~net ~solver

@@ -56,7 +56,8 @@ let lipschitz ?cache net =
 (** [chain ?cache ?deadline ?widen domain net din] is the
     state-abstraction chain [S_1..S_n] of [net] over [din], built
     through [cache] (kind [abstractions:<domain>:w=<widen>]) when one is
-    given. *)
+    given. The widen is rendered with [%.17g], as the JSON writer does,
+    so distinct slacks never share an entry. *)
 let chain ?cache ?deadline ?(widen = 0.) domain net din =
   let build () =
     Cv_domains.Analyzer.abstractions ?deadline ~widen domain net din
@@ -68,7 +69,7 @@ let chain ?cache ?deadline ?(widen = 0.) domain net din =
       ~fingerprint:(Cv_artifacts.Artifacts.fingerprint net)
       ~box_hash:(Cv_artifacts.Cache.box_hash din)
       ~kind:
-        (Printf.sprintf "abstractions:%s:w=%g"
+        (Printf.sprintf "abstractions:%s:w=%.17g"
            (Cv_domains.Analyzer.domain_name domain)
            widen)
       build

@@ -15,7 +15,13 @@
     coefficient walks over boxed records. The affine combination
     visits weights in exactly the historical order (per output row,
     ascending weight index, zeros skipped), so results are bitwise
-    identical to the record-based implementation. *)
+    identical to the record-based implementation.
+
+    A value fresh from {!of_box} — identity coefficients, zero
+    constants — is flagged, and its affine step takes the weight matrix
+    itself instead of the product over identity sources, which is what
+    makes the analyzer's per-layer restart from [S_i] cost [O(n·d)]
+    rather than [O(n·d²)]. *)
 
 type t = {
   input : Cv_interval.Box.t;  (** box over which expressions concretise *)
@@ -25,6 +31,9 @@ type t = {
   lower_k : float array;  (** lower-bound constants *)
   upper_c : Cv_linalg.Mat.t;  (** [n × in_dim] upper-bound coefficients *)
   upper_k : float array;  (** upper-bound constants *)
+  fresh : bool;
+      (** [true] only on {!of_box} output: identity coefficients, zero
+          constants. Every transformer output clears it. *)
 }
 
 let name = "symint"
@@ -71,34 +80,82 @@ let neuron_interval a i =
   if lo > hi then Cv_interval.Interval.point (0.5 *. (lo +. hi))
   else Cv_interval.Interval.make lo hi
 
+(* Coefficient matrices and constant vectors are never mutated in place
+   (every transformer writes fresh ones), so both bounds may share
+   them. The identity is written in place: [Mat.identity] calls its
+   [init] closure once per entry, about 5× slower at width 256. *)
 let of_box b =
   let n = Cv_interval.Box.dim b in
+  let id = Cv_linalg.Mat.zeros n n in
+  let d = Cv_linalg.Mat.unsafe_data id in
+  for i = 0 to n - 1 do
+    Array.unsafe_set d ((i * n) + i) 1.
+  done;
+  let zero = Array.make n 0. in
   { input = b;
     ilo = Cv_interval.Box.lower b;
     ihi = Cv_interval.Box.upper b;
-    lower_c = Cv_linalg.Mat.identity n;
-    lower_k = Array.make n 0.;
-    upper_c = Cv_linalg.Mat.identity n;
-    upper_k = Array.make n 0. }
+    lower_c = id;
+    lower_k = zero;
+    upper_c = id;
+    upper_k = zero;
+    fresh = true }
+
+(* [w] as the sign-select product over identity sources yields it. Per
+   output entry the product adds [w_ij·1] and [w_ik·0] terms onto
+   [+0.0], skipping zero weights: a nonzero weight comes out as itself,
+   a ±0.0 weight as +0.0. A non-finite weight is the one exception:
+   the product's [inf·0] or [nan·0] terms turn the rest of its row
+   into NaN. That row's constant ([inf·0] in
+   {!Cv_linalg.Mat.gemv_select_acc}) or its concretisation (the copied
+   NaN) is NaN either way, so no bound can tell the two apart. *)
+let identity_product w =
+  let src = Cv_linalg.Mat.unsafe_data w in
+  let dst = Array.create_float (Array.length src) in
+  for k = 0 to Array.length src - 1 do
+    let x = Array.unsafe_get src k in
+    Array.unsafe_set dst k (if x = 0. then 0. else x)
+  done;
+  Cv_linalg.Mat.of_array ~rows:(Cv_linalg.Mat.rows w)
+    ~cols:(Cv_linalg.Mat.cols w) dst
 
 (* Affine image: the output's lower expression combines input lower
    expressions on positive weights and upper ones on negative weights
-   (zeros skipped); dually for the output's upper expression. *)
+   (zeros skipped); dually for the output's upper expression. On a
+   fresh value both products reduce to {!identity_product}, and both
+   constant sums to one, as the two bounds are one expression. *)
 let affine (w : Cv_linalg.Mat.t) bias a =
   let rows = Cv_linalg.Mat.rows w and cols = Cv_linalg.Mat.cols w in
   if cols <> dim a then invalid_arg "Symint.affine: dimension mismatch";
   if Array.length bias <> rows then invalid_arg "Symint.affine: bias dim";
-  let in_dim = Array.length a.ilo in
-  let lower_c = Cv_linalg.Mat.zeros rows in_dim in
-  let upper_c = Cv_linalg.Mat.zeros rows in_dim in
-  Cv_linalg.Mat.gemm_select_into ~dst:lower_c w ~pos_src:a.lower_c
-    ~neg_src:a.upper_c;
-  Cv_linalg.Mat.gemm_select_into ~dst:upper_c w ~pos_src:a.upper_c
-    ~neg_src:a.lower_c;
-  let lower_k = Array.copy bias and upper_k = Array.copy bias in
-  Cv_linalg.Mat.gemv_select_acc w ~pos:a.lower_k ~neg:a.upper_k ~acc:lower_k;
-  Cv_linalg.Mat.gemv_select_acc w ~pos:a.upper_k ~neg:a.lower_k ~acc:upper_k;
-  { a with lower_c; lower_k; upper_c; upper_k }
+  let constants ~pos ~neg =
+    let acc = Array.copy bias in
+    Cv_linalg.Mat.gemv_select_acc w ~pos ~neg ~acc;
+    acc
+  in
+  if a.fresh then
+    let c = identity_product w in
+    let k = constants ~pos:a.lower_k ~neg:a.upper_k in
+    { a with lower_c = c; lower_k = k; upper_c = c; upper_k = k; fresh = false }
+  else
+    let in_dim = Array.length a.ilo in
+    let lower_c = Cv_linalg.Mat.zeros rows in_dim in
+    let upper_c = Cv_linalg.Mat.zeros rows in_dim in
+    Cv_linalg.Mat.gemm_select_into ~dst:lower_c w ~pos_src:a.lower_c
+      ~neg_src:a.upper_c;
+    Cv_linalg.Mat.gemm_select_into ~dst:upper_c w ~pos_src:a.upper_c
+      ~neg_src:a.lower_c;
+    { a with
+      lower_c;
+      lower_k = constants ~pos:a.lower_k ~neg:a.upper_k;
+      upper_c;
+      upper_k = constants ~pos:a.upper_k ~neg:a.lower_k;
+      fresh = false }
+
+(* Both bounds are one expression when they share their coefficients
+   and constants (a value fresh from {!of_box} and its affine step);
+   one concretisation then serves both. *)
+let shared a = a.lower_c == a.upper_c && a.lower_k == a.upper_k
 
 (* ReLU on the symbolic element. *)
 let relu a =
@@ -111,9 +168,13 @@ let relu a =
   let dst_l = Cv_linalg.Mat.unsafe_data lower_c in
   let dst_u = Cv_linalg.Mat.unsafe_data upper_c in
   let lower_k = Array.make n 0. and upper_k = Array.make n 0. in
+  let shared = shared a in
   for i = 0 to n - 1 do
-    let l, _ = row_interval src_l in_dim a.ilo a.ihi a.lower_k.(i) i in
-    let l_u, u = row_interval src_u in_dim a.ilo a.ihi a.upper_k.(i) i in
+    let l, h = row_interval src_l in_dim a.ilo a.ihi a.lower_k.(i) i in
+    let l_u, u =
+      if shared then (l, h)
+      else row_interval src_u in_dim a.ilo a.ihi a.upper_k.(i) i
+    in
     let base = i * in_dim in
     if l >= 0. then begin
       Array.blit src_l base dst_l base in_dim;
@@ -141,7 +202,7 @@ let relu a =
       end
     end
   done;
-  { a with lower_c; lower_k; upper_c; upper_k }
+  { a with lower_c; lower_k; upper_c; upper_k; fresh = false }
 
 (* Monotone non-linearities other than ReLU: fall back to concrete
    intervals (constant expressions). Sound, loses the symbolic part. *)
@@ -158,7 +219,8 @@ let monotone_concrete act a =
     lower_c = Cv_linalg.Mat.zeros n in_dim;
     upper_c = Cv_linalg.Mat.zeros n in_dim;
     lower_k;
-    upper_k }
+    upper_k;
+    fresh = false }
 
 (* Leaky ReLU: for stable neurons exact; unstable neurons fall back to
    concrete bounds (sound and simple; the verified head uses plain
@@ -191,7 +253,7 @@ let leaky_relu slope a =
         upper_k.(i) <- slope *. upper_k.(i)
       end
     done;
-    { a with lower_c; lower_k; upper_c; upper_k }
+    { a with lower_c; lower_k; upper_c; upper_k; fresh = false }
   end
   else monotone_concrete (Cv_nn.Activation.Leaky_relu slope) a
 

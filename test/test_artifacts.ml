@@ -37,6 +37,57 @@ let test_fingerprint_stability () =
     (Cv_artifacts.Artifacts.fingerprint n
     <> Cv_artifacts.Artifacts.fingerprint perturbed)
 
+(* The fingerprint of the fixed ReLU net is pinned: memoization and the
+   single-buffer digest input must not change a stored key. Two domains
+   fingerprinting one network concurrently both get it, and a perturbed
+   copy does not. *)
+let pinned_fingerprint = "v2:71ee3424ea249658c25f454543fd7fa4"
+
+let test_fingerprint_pinned () =
+  let n = net () in
+  let spawn () = Domain.spawn (fun () -> Cv_artifacts.Artifacts.fingerprint n) in
+  let d1 = spawn () and d2 = spawn () in
+  Alcotest.(check string) "domain 1" pinned_fingerprint (Domain.join d1);
+  Alcotest.(check string) "domain 2" pinned_fingerprint (Domain.join d2);
+  Alcotest.(check string) "memoized" pinned_fingerprint
+    (Cv_artifacts.Artifacts.fingerprint n);
+  Alcotest.(check string) "fresh value, same content" pinned_fingerprint
+    (Cv_artifacts.Artifacts.fingerprint (net ()));
+  let perturbed =
+    Cv_nn.Network.map_layers
+      (Cv_nn.Layer.perturb ~rng:(Cv_util.Rng.create 2) ~sigma:1e-9)
+      n
+  in
+  Alcotest.(check bool) "perturbed copy differs" true
+    (Cv_artifacts.Artifacts.fingerprint perturbed <> pinned_fingerprint)
+
+(* Leaky-ReLU slopes are hashed by their bits: two nets that differ only
+   in a slope [%g] prints alike must neither share a fingerprint nor
+   accept each other's artifacts. *)
+let test_fingerprint_leaky_slope () =
+  let leaky s =
+    Cv_nn.Network.random ~rng:(Cv_util.Rng.create 3) ~dims:[ 2; 4; 1 ]
+      ~act:(Cv_nn.Activation.Leaky_relu s) ()
+  in
+  let a = leaky 0.1 and b = leaky 0.1000001 in
+  Alcotest.(check string) "slopes print alike"
+    (Cv_nn.Activation.to_string (Cv_nn.Network.layer a 0).Cv_nn.Layer.act)
+    (Cv_nn.Activation.to_string (Cv_nn.Network.layer b 0).Cv_nn.Layer.act);
+  Alcotest.(check bool) "distinct fingerprints" true
+    (Cv_artifacts.Artifacts.fingerprint a <> Cv_artifacts.Artifacts.fingerprint b);
+  let din = Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1. in
+  let artifact =
+    Cv_artifacts.Artifacts.make
+      ~property:
+        (Cv_verify.Property.make ~din
+           ~dout:(Cv_interval.Box.of_bounds [| -100. |] [| 100. |]))
+      ~net:a ~solver:"symint" ~solve_seconds:0. ()
+  in
+  Alcotest.(check bool) "own net matches" true
+    (Cv_artifacts.Artifacts.matches artifact a);
+  Alcotest.(check bool) "other slope rejected" false
+    (Cv_artifacts.Artifacts.matches artifact b)
+
 let test_matches () =
   let a = make_artifact () in
   Alcotest.(check bool) "matches source" true
@@ -110,6 +161,10 @@ let () =
   Alcotest.run "cv_artifacts"
     [ ( "fingerprint",
         [ Alcotest.test_case "stability" `Quick test_fingerprint_stability;
+          Alcotest.test_case "pinned across domains" `Quick
+            test_fingerprint_pinned;
+          Alcotest.test_case "leaky slope exact" `Quick
+            test_fingerprint_leaky_slope;
           Alcotest.test_case "matches" `Quick test_matches ] );
       ( "bundle",
         [ Alcotest.test_case "lipschitz access" `Quick test_lipschitz_access;

@@ -143,6 +143,21 @@ let test_cache_accounting () =
         5 s.Cache.hits)
     [ 1; 4 ]
 
+(* The chain kind renders widen exactly: 0.02 and 0.02000001 are two
+   entries, and the second caller gets a chain built with its own
+   slack. *)
+let test_chain_widen_key () =
+  let cache = Cache.create () in
+  let chain widen =
+    Cv_core.Strategy.chain ~cache ~widen Cv_domains.Analyzer.Symint net din
+  in
+  let a = chain 0.02 and b = chain 0.02000001 in
+  let s = Cache.stats cache in
+  Alcotest.(check (pair int int)) "2 misses, 0 hits" (2, 0)
+    (s.Cache.misses, s.Cache.hits);
+  Alcotest.(check bool) "chains differ" false
+    (Array.for_all2 (Box.equal ~tol:0.) a b)
+
 (* SVbTV network abstractions go through the cache's in-memory tier:
    two jobs sharing (old net, D_in, D_out) build once, and the batch
    report counts exactly what Cache.stats counts. *)
@@ -492,6 +507,8 @@ let () =
             test_cache_accounting;
           Alcotest.test_case "netabs counted by the cache" `Quick
             test_netabs_counted_by_cache;
+          Alcotest.test_case "chain key renders widen exactly" `Quick
+            test_chain_widen_key;
           Alcotest.test_case "in-memory tier" `Quick test_memo_tier;
           Alcotest.test_case "lru eviction" `Quick test_cache_eviction;
           Alcotest.test_case "disk backing" `Quick test_cache_disk_backing;

@@ -16,12 +16,14 @@ let run args =
   let cmd = Filename.quote_command exe args ^ " > /dev/null 2>&1" in
   Sys.command cmd
 
-(* Run and capture stdout, for asserting on the verdict line. *)
-let run_out args =
+(* Run and capture stdout (plus stderr when [with_stderr], where
+   --stats prints), for asserting on the verdict line. *)
+let run_out ?(with_stderr = false) args =
   let out = Filename.temp_file "contiver_cli" ".out" in
   let cmd =
     Filename.quote_command exe args
-    ^ " > " ^ Filename.quote out ^ " 2> /dev/null"
+    ^ " > " ^ Filename.quote out
+    ^ if with_stderr then " 2>&1" else " 2> /dev/null"
   in
   let code = Sys.command cmd in
   let ic = open_in out in
@@ -344,6 +346,34 @@ let test_batch_jobs_invariance () =
   let r1 = report_for 1 in
   Alcotest.(check string) "jobs=4 report identical" r1 (report_for 4)
 
+(* A manifest loads each model file once: two verify jobs on head1.json
+   share one network value, so its 4 layers are prepared once, not once
+   per job. Depends on test_generate_and_describe. *)
+let test_batch_loads_model_once () =
+  let path f = Filename.concat tmp_dir f in
+  let manifest = path "two_verify_manifest.json" in
+  let oc = open_out manifest in
+  output_string oc
+    {|{"jobs":[
+  {"id":"v1","mode":"verify","model":"head1.json","property":"property.json"},
+  {"id":"v2","mode":"verify","model":"head1.json","property":"property.json"}
+]}|};
+  close_out oc;
+  let code, text =
+    run_out ~with_stderr:true
+      [ "batch"; "--manifest"; manifest; "--no-cache"; "--stats" ]
+  in
+  Alcotest.(check int) "batch exits 0" 0 code;
+  let builds =
+    String.split_on_char '\n' text
+    |> List.find_map (fun l ->
+           match String.split_on_char ' ' (String.trim l) with
+           | "kernel.prepare.builds" :: rest ->
+             List.find_opt (( <> ) "") rest |> Option.map int_of_string
+           | _ -> None)
+  in
+  Alcotest.(check (option int)) "kernel.prepare.builds" (Some 4) builds
+
 let () =
   if not (Sys.file_exists exe) then begin
     print_endline "contiver binary not found; skipping CLI tests";
@@ -366,4 +396,6 @@ let () =
           Alcotest.test_case "cert emission + check" `Quick
             test_cert_emission_and_check;
           Alcotest.test_case "batch jobs invariance" `Quick
-            test_batch_jobs_invariance ] ) ]
+            test_batch_jobs_invariance;
+          Alcotest.test_case "batch loads each model once" `Quick
+            test_batch_loads_model_once ] ) ]

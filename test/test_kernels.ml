@@ -299,6 +299,111 @@ let test_workspace_reuse () =
   Alcotest.(check bool) "reset drops buffers" true (not (m1 == m4))
 
 (* ------------------------------------------------------------------ *)
+(* Symint restart shortcut: an affine step on a value fresh from
+   [of_box] takes W itself instead of the sign-select product over
+   identity sources. Prepending an identity layer forces the dense
+   product (its output carries identity coefficients without the fresh
+   flag), so both runs must agree bit for bit — or fail alike when a
+   non-finite weight poisons the bounds. *)
+
+module Symint = Cv_domains.Symint
+
+let restart_dim_gen = QCheck.Gen.oneofl [ 1; 2; 3; 5; 9; 17 ]
+
+(* Kernel-hostile weights ([Gen.entry_gen]: ±0.0, subnormals), sometimes
+   an all-zero row of mixed signed zeros, sometimes one non-finite
+   weight. *)
+let restart_layer_gen ~in_dim ~out_dim =
+  QCheck.Gen.(
+    mat_gen out_dim in_dim >>= fun w ->
+    vec_gen out_dim >>= fun bias ->
+    oneofl
+      Cv_nn.Activation.[ Relu; Leaky_relu 0.1; Identity; Sigmoid ]
+    >>= fun act ->
+    bool >>= fun zero_row ->
+    frequency
+      [ (4, return None);
+        ( 1,
+          triple (int_bound (out_dim - 1)) (int_bound (in_dim - 1))
+            (oneofl [ Float.infinity; Float.neg_infinity; Float.nan ])
+          >|= Option.some ) ]
+    >|= fun bad ->
+    if zero_row then
+      for j = 0 to in_dim - 1 do
+        Mat.set w 0 j (if j mod 2 = 0 then 0. else -0.)
+      done;
+    Option.iter (fun (i, j, x) -> Mat.set w i j x) bad;
+    Cv_nn.Layer.make w bias act)
+
+let restart_box_gen d =
+  QCheck.Gen.(
+    list_repeat d
+      (pair (float_range (-2.) 2.)
+         (frequency [ (1, return 0.); (4, float_range 0. 3.) ]))
+    >|= fun l ->
+    let lo = Array.of_list (List.map fst l) in
+    Cv_interval.Box.of_bounds lo
+      (Array.of_list (List.map (fun (x, r) -> x +. r) l)))
+
+let identity_layer d =
+  Cv_nn.Layer.make (Mat.identity d) (Array.make d 0.)
+    Cv_nn.Activation.Identity
+
+(* A box as an [n × 2] matrix of bounds, compared under [bits_eq]; an
+   exception (NaN bounds) must be the same exception. *)
+let box_outcome f =
+  match f () with
+  | b ->
+    Ok
+      (Mat.init (Cv_interval.Box.dim b) 2 (fun i j ->
+           let iv = Cv_interval.Box.get b i in
+           if j = 0 then Cv_interval.Interval.lo iv
+           else Cv_interval.Interval.hi iv))
+  | exception e -> Error (Printexc.to_string e)
+
+let same_outcome a b =
+  match (a, b) with
+  | Ok x, Ok y -> bits_eq x y
+  | Error x, Error y -> String.equal x y
+  | _ -> false
+
+let symint_restart_bitwise =
+  QCheck.Test.make ~name:"symint of_box shortcut = dense identity product"
+    ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         restart_dim_gen >>= fun d0 ->
+         restart_dim_gen >>= fun d1 ->
+         restart_dim_gen >>= fun d2 ->
+         restart_layer_gen ~in_dim:d0 ~out_dim:d1 >>= fun l1 ->
+         restart_layer_gen ~in_dim:d1 ~out_dim:d2 >>= fun l2 ->
+         restart_box_gen d0 >|= fun b -> (b, l1, l2)))
+    (fun (b, l1, l2) ->
+      let d0 = Cv_interval.Box.dim b in
+      let id = identity_layer d0 in
+      let one_layer =
+        same_outcome
+          (box_outcome (fun () ->
+               Symint.to_box (Symint.apply_layer l1 (Symint.of_box b))))
+          (box_outcome (fun () ->
+               Symint.to_box
+                 (Symint.apply_layer l1
+                    (Symint.apply_layer id (Symint.of_box b)))))
+      in
+      (* Carried through two layers: only the first step may take the
+         shortcut, the second must run the product over the first
+         step's coefficients. *)
+      let carried =
+        let reach layers =
+          box_outcome (fun () ->
+              Cv_domains.Analyzer.output_box Cv_domains.Analyzer.Symint
+                (Cv_nn.Network.make layers) b)
+        in
+        same_outcome (reach [| l1; l2 |]) (reach [| id; l1; l2 |])
+      in
+      one_layer && carried)
+
+(* ------------------------------------------------------------------ *)
 (* Flat zonotope store vs the historical row-array semantics.          *)
 
 (* Minimal row-array zonotope (the pre-PR representation), enough to
@@ -511,6 +616,8 @@ let () =
             test_kernel_loop_alloc_free;
           Alcotest.test_case "kernel.bytes_alloc flat per call" `Quick
             test_bytes_alloc_gauge_flat ] );
+      ( "symint-restart",
+        [ QCheck_alcotest.to_alcotest symint_restart_bitwise ] );
       ( "zonotope-flat",
         [ QCheck_alcotest.to_alcotest zonotope_flat_matches_rows ] );
       ( "satellites",
