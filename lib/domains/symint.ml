@@ -82,15 +82,10 @@ let neuron_interval a i =
 
 (* Coefficient matrices and constant vectors are never mutated in place
    (every transformer writes fresh ones), so both bounds may share
-   them. The identity is written in place: [Mat.identity] calls its
-   [init] closure once per entry, about 5× slower at width 256. *)
+   them. *)
 let of_box b =
   let n = Cv_interval.Box.dim b in
-  let id = Cv_linalg.Mat.zeros n n in
-  let d = Cv_linalg.Mat.unsafe_data id in
-  for i = 0 to n - 1 do
-    Array.unsafe_set d ((i * n) + i) 1.
-  done;
+  let id = Cv_linalg.Mat.identity n in
   let zero = Array.make n 0. in
   { input = b;
     ilo = Cv_interval.Box.lower b;

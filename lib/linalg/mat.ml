@@ -37,7 +37,12 @@ let init rows cols f =
   { rows; cols; data }
 
 (** [identity n] is the [n × n] identity. *)
-let identity n = init n n (fun i j -> if i = j then 1. else 0.)
+let identity n =
+  let m = zeros n n in
+  for i = 0 to n - 1 do
+    Array.unsafe_set m.data ((i * n) + i) 1.
+  done;
+  m
 
 (** [of_array ~rows ~cols data] wraps a row-major backing array without
     copying. *)

@@ -18,7 +18,10 @@
     {!compiled} form in which re-bounding a declared [fixable] variable
     is a pair of O(m) right-hand-side updates against the previous
     optimal basis — the branch-and-bound hot path — instead of a [copy]
-    plus a full re-lowering of the constraint list. *)
+    plus a full re-lowering of the constraint list. A new objective
+    ([set_objective_compiled]) goes through the same lowering as
+    [compile]'s own and restarts primal phase 2 from the last optimal
+    basis — the path a family of bound queries on one model takes. *)
 
 type relop = Le | Ge | Eq
 
@@ -122,8 +125,8 @@ type fix_info = { f_l : float; f_u : float; f_row_ub : int; f_row_lb : int }
 type compiled = {
   c_state : Simplex.state;
   c_mapping : mapping array;
-  c_sign : float;
-  c_const_shift : float;
+  mutable c_sign : float;
+  mutable c_const_shift : float;
   c_nvars : int;
   c_fix : (var, fix_info) Hashtbl.t;
   c_xu : float array;
@@ -131,6 +134,31 @@ type compiled = {
           derivable) — the compensation bounds certificate extraction
           needs for Neumaier–Shcherbina-style safe dual bounds *)
 }
+
+(* Lower objective terms to a standard-form cost vector of [total]
+   columns. Returns [(cost, sign, shift)]: a standard-form value [s]
+   means model objective [sign · (s + shift)]. *)
+let lower_objective mapping ~total ~maximize terms =
+  let c = Array.make total 0. in
+  let sign = if maximize then -1. else 1. in
+  let shift = ref 0. in
+  List.iter
+    (fun (coef, v) ->
+      if v < 0 || v >= Array.length mapping then
+        invalid_arg "Lp: objective over unknown var";
+      let coef = sign *. coef in
+      match mapping.(v) with
+      | Shifted (col, l) ->
+        c.(col) <- c.(col) +. coef;
+        shift := !shift +. (coef *. l)
+      | Reflected (col, u) ->
+        c.(col) <- c.(col) -. coef;
+        shift := !shift +. (coef *. u)
+      | Split (cp, cn) ->
+        c.(cp) <- c.(cp) +. coef;
+        c.(cn) <- c.(cn) -. coef)
+    terms;
+  (c, sign, !shift)
 
 (** [compile ?fixable p] lowers the model to standard form once. Each
     [fixable] variable (finite bounds required) gets a pair of bound
@@ -247,24 +275,9 @@ let compile ?(fixable = []) p =
       | Eq -> ());
       b.(i) <- rhs)
     rows;
-  (* Objective over standard columns. *)
-  let c = Array.make total 0. in
-  let sign = if p.maximize then -1. else 1. in
-  let const_shift = ref 0. in
-  List.iter
-    (fun (coef, v) ->
-      let coef = sign *. coef in
-      match mapping.(v) with
-      | Shifted (col, l) ->
-        c.(col) <- c.(col) +. coef;
-        const_shift := !const_shift +. (coef *. l)
-      | Reflected (col, u) ->
-        c.(col) <- c.(col) -. coef;
-        const_shift := !const_shift +. (coef *. u)
-      | Split (cp, cn) ->
-        c.(cp) <- c.(cp) +. coef;
-        c.(cn) <- c.(cn) -. coef)
-    p.obj_terms;
+  let c, sign, const_shift =
+    lower_objective mapping ~total ~maximize:p.maximize p.obj_terms
+  in
   (* Sound per-column upper bounds (outward-rounded): structural
      columns from the declared variable boxes; slack/surplus columns
      from interval-evaluating their row over those boxes. Any feasible
@@ -310,7 +323,7 @@ let compile ?(fixable = []) p =
     c_state = Simplex.make ~a ~b ~c ~basis0;
     c_mapping = mapping;
     c_sign = sign;
-    c_const_shift = !const_shift;
+    c_const_shift = const_shift;
     c_nvars = p.nvars;
     c_fix;
     c_xu = xu;
@@ -319,6 +332,19 @@ let compile ?(fixable = []) p =
 (** [copy_compiled c] is an independent compiled instance sharing the
     immutable lowering; branch-and-bound workers each get one. *)
 let copy_compiled c = { c with c_state = Simplex.copy_state c.c_state }
+
+(** [set_objective_compiled c ~maximize terms] replaces the compiled
+    objective without re-lowering: a root-optimal state restarts primal
+    phase 2 from its basis on the next {!solve_compiled}. *)
+let set_objective_compiled c ~maximize terms =
+  let cost, sign, shift =
+    lower_objective c.c_mapping
+      ~total:(Simplex.num_cols c.c_state)
+      ~maximize terms
+  in
+  c.c_sign <- sign;
+  c.c_const_shift <- shift;
+  Simplex.set_cost c.c_state cost
 
 (** [set_bounds_compiled c v ~lo ~hi] re-bounds fixable variable [v]
     within its compiled box [f_l, f_u] — two rhs writes, preserving the

@@ -6,7 +6,8 @@
     primal simplex. The [compile]d interface lowers once and makes
     re-bounding a declared fixable variable an O(m) right-hand-side
     update solved by a warm dual-simplex restart — the branch-and-bound
-    hot path. *)
+    hot path — and a new objective a repricing solved by a warm primal
+    restart — the bound-query hot path. *)
 
 type relop = Le | Ge | Eq
 
@@ -74,6 +75,16 @@ val compile : ?fixable:var list -> problem -> compiled
     one. *)
 val copy_compiled : compiled -> compiled
 
+(** [set_objective_compiled c ~maximize terms] replaces the compiled
+    model's objective in place, lowered through the compiled variable
+    mapping (the one lowering {!compile} uses for its own objective);
+    {!compiled_frame} follows it. When [c]'s last solve left an optimal,
+    primal-feasible basis, the next {!solve_compiled} restarts primal
+    phase 2 from it instead of re-running phase 1 (see
+    {!Simplex.set_cost}); otherwise it solves cold. The model [problem]
+    it was compiled from is not touched. *)
+val set_objective_compiled : compiled -> maximize:bool -> term list -> unit
+
 (** [set_bounds_compiled c v ~lo ~hi] re-bounds fixable variable [v];
     [lo]/[hi] must stay within the box [v] was compiled with. *)
 val set_bounds_compiled : compiled -> var -> lo:float -> hi:float -> unit
@@ -114,7 +125,7 @@ val minimize_linear : problem -> term list -> result
 
 (** [compiled_state c] is the underlying simplex state (standard form
     [min c·y, Ay = b, y ≥ 0]). Mutate it only through
-    {!set_bounds_compiled}. *)
+    {!set_bounds_compiled} and {!set_objective_compiled}. *)
 val compiled_state : compiled -> Simplex.state
 
 (** [compiled_frame c] is [(c_sign, c_const_shift)]: a standard-form

@@ -15,13 +15,17 @@
     member of the family is dual-feasible for {e every} other member,
     so after an rhs change the solver restarts with dual simplex from
     the previous basis instead of re-running phase 1 from a fresh
-    tableau ("warm start"). Every warm verdict is certified against the
-    pristine system through a fresh LU factorisation of the final basis
-    (see the certification block below), so tableau drift can only cost
+    tableau ("warm start"). Conversely, {!set_cost} changes only the
+    objective: an optimal basis stays primal-feasible, so after
+    repricing its objective row the solver resumes primal phase 2 from
+    it — one lowering and one cold solve serve every bound query on an
+    encoding. Every warm verdict is certified against the pristine
+    system through a fresh LU factorisation of the final basis (see the
+    certification block below), so tableau drift can only cost
     performance, never soundness. When the warm start is unusable (no
     marker column for the touched row, artificials left in the basis, a
-    dual stall, or a failed certificate) it falls back to the cold
-    two-phase primal path.
+    stall, an unbounded primal restart, or a failed certificate) it
+    falls back to the cold two-phase primal path.
 
     The tableau is a single row-major [float array] — (m+1) rows of a
     fixed [stride] — rather than an array of rows, for cache locality
@@ -75,6 +79,8 @@ let t_dual = Cv_util.Metrics.timer "lp.dual.seconds"
 
 let t_cold = Cv_util.Metrics.timer "lp.cold.seconds"
 
+let t_primal = Cv_util.Metrics.timer "lp.primal.seconds"
+
 (* The state keeps the pristine system ([sa]/[sb]/[sc], row-major) for
    cold rebuilds next to the working tableau. [basis0.(i) = Some (j, s)]
    promises that structural column [j] has coefficient [s] (±1) in row
@@ -88,7 +94,9 @@ type state = {
   mutable stride : int;  (** row length: n + artificial-column capacity *)
   sa : float array;  (** pristine constraint matrix, m×n row-major *)
   sb : float array;  (** current raw rhs (any sign) *)
-  sc : float array;  (** objective over structural columns *)
+  mutable sc : float array;
+      (** objective over structural columns; {!copy_state} shares it,
+          so {!set_cost} replaces it and nothing writes into it *)
   singleton : (int * float) option array;
       (** per column: its only nonzero (row, coeff) when single-nonzero
           (slack/surplus shape) — lets certification factorise the basis
@@ -104,6 +112,10 @@ type state = {
   mutable ncols : int;  (** active columns: n + live artificials *)
   mutable warm : bool;
       (** tableau/basis valid, artificial-free and priced for [sc] *)
+  mutable restart : bool;
+      (** set by {!set_cost} on a warm, primal-feasible basis whose
+          objective row was repriced: the next {!resolve} runs primal
+          phase 2 from it instead of the dual restart *)
   mutable since_cold : int;  (** warm solves since the last cold solve *)
   rowsign : float array;
       (** per-row sign flip applied by the last {!cold_build} (±1):
@@ -165,6 +177,7 @@ let make ~a ~b ~c ~basis0 =
     dw = Array.make (max 1 m) 1.;
     ncols = n;
     warm = false;
+    restart = false;
     since_cold = 0;
     rowsign = Array.make (max 1 m) 1.;
     art_row = Array.make (max 1 art0) (-1);
@@ -185,13 +198,20 @@ let copy_state st =
 (** [set_rhs st ~row v] replaces row [row]'s raw right-hand side. When
     the state is warm and the row has a marker column, the change is
     pushed through the current basis as a rank-one update (O(m)),
-    preserving the warm basis for {!resolve}'s dual restart; otherwise
-    the state degrades to cold. *)
+    preserving the warm basis for {!resolve}'s dual restart; otherwise,
+    or while a {!set_cost} restart is pending, the state degrades to
+    cold. *)
 let set_rhs st ~row v =
   if row < 0 || row >= st.m then invalid_arg "Simplex.set_rhs: row";
   let old = st.sb.(row) in
   if v <> old then begin
     st.sb.(row) <- v;
+    (* A repriced basis is only primal-feasible for the rhs it was
+       repriced against. *)
+    if st.restart then begin
+      st.warm <- false;
+      st.restart <- false
+    end;
     if st.warm then begin
       match st.basis0.(row) with
       | None -> st.warm <- false
@@ -487,6 +507,20 @@ let install_objective st cost =
       st.rhs.(st.m) <- st.rhs.(st.m) -. (cb *. st.rhs.(i))
     end
   done
+
+(** [set_cost st c] replaces the objective. A warm basis that is still
+    primal-feasible (every basic value ≥ −tol) keeps serving: its
+    objective row is repriced for [c] and the next {!resolve} restarts
+    primal phase 2 from it. Any other state goes cold. *)
+let set_cost st c =
+  if Array.length c <> st.n then invalid_arg "Simplex.set_cost: length";
+  st.sc <- Array.copy c;
+  let reusable = ref st.warm in
+  for i = 0 to st.m - 1 do
+    if st.rhs.(i) < -.tol then reusable := false
+  done;
+  st.restart <- !reusable;
+  if !reusable then install_objective st st.sc else st.warm <- false
 
 let extract st =
   let values = Array.make st.n 0. in
@@ -874,9 +908,10 @@ let cold_solve ?deadline ?max_iters st =
       end;
       extract st)
 
-(** [resolve st] solves the state's current system. Warm states try the
-    dual-simplex restart first and certify its verdict against the
-    pristine system (a hit); a dual stall or a failed certificate falls
+(** [resolve st] solves the state's current system. Warm states try a
+    restart first — primal phase 2 after {!set_cost}, dual simplex
+    otherwise — and certify its verdict against the pristine system (a
+    hit); an unbounded or stalled restart or a failed certificate falls
     back to the cold path (a fallback); cold states run two-phase primal
     (a miss). Raises {!Cv_util.Deadline.Expired} when [deadline] runs
     out mid-solve. *)
@@ -889,12 +924,28 @@ let resolve ?deadline ?max_iters ?obj_limit st =
     Cv_util.Metrics.incr m_warm_fallbacks;
     Cv_util.Metrics.time t_cold (fun () -> cold_solve ?deadline ?max_iters st)
   in
+  let restart = st.restart in
+  st.restart <- false;
   if st.warm && st.since_cold < warm_refresh_limit then begin
     let verdict =
       (* Fault injection: a spurious warm-restart failure. Escalates
          through the normal stall path — the cold solve below recomputes
          from scratch, so the verdict is unchanged, only slower. *)
       if Cv_util.Fault.fires Cv_util.Fault.Spurious_solver_error then None
+      else if restart then
+        (* The basis is primal-feasible and priced for the new
+           objective: phase 2 resumes from it. An unbounded verdict is
+           left to the cold path, which reports it from scratch. *)
+        match
+          Cv_util.Metrics.time t_primal (fun () ->
+              iterate ?deadline ?max_iters st ~allowed:(fun j -> j < st.n))
+        with
+        | `Optimal ->
+          (* A new basis: restart the Devex reference framework, as
+             after a cold solve. *)
+          Array.fill st.dw 0 st.m 1.;
+          Some `Optimal
+        | `Unbounded | `Stalled -> None
       else
       match Cv_util.Metrics.time t_dual (fun () -> dual_iterate ?deadline ?max_iters ?obj_limit st) with
       | `Stalled -> None

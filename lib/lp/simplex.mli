@@ -1,8 +1,9 @@
 (** Two-phase primal simplex with dual-simplex warm restarts on a dense
     flat (row-major) tableau: solves [min c·y  s.t.  A y = b, y >= 0]
     (rows are sign-fixed internally). Dantzig pivoting with an automatic
-    switch to Bland's rule for termination. The computational core under
-    {!Lp}. *)
+    switch to Bland's rule for termination. An objective change on an
+    optimal state restarts primal phase 2 from its basis. The
+    computational core under {!Lp}. *)
 
 type outcome =
   | Optimal of { objective : float; values : float array }
@@ -13,10 +14,12 @@ type outcome =
       (** the iteration limit was exceeded (numerical trouble); callers
           degrade to a timeout-style Unknown instead of crashing *)
 
-(** Reusable solver state for a family of solves differing only in
-    right-hand sides (branch-and-bound node relaxations). Holds the
-    pristine system plus one working tableau; after an optimal solve the
-    basis warm-starts subsequent {!resolve} calls via dual simplex. *)
+(** Reusable solver state for a family of solves differing in
+    right-hand sides (branch-and-bound node relaxations) or in the
+    objective (bound queries on one encoding). Holds the pristine system
+    plus one working tableau; after an optimal solve the basis
+    warm-starts subsequent {!resolve} calls: via dual simplex after
+    {!set_rhs}, via primal phase 2 after {!set_cost}. *)
 type state
 
 (** [make ~a ~b ~c ~basis0] captures the system [min c·y, Ay = b, y ≥ 0]
@@ -38,14 +41,27 @@ val copy_state : state -> state
 
 (** [set_rhs st ~row v] replaces row [row]'s raw right-hand side. On a
     warm state with a marker for [row] this is a rank-one update that
-    preserves the warm basis; otherwise the next {!resolve} runs cold. *)
+    preserves the warm basis; otherwise — also while a {!set_cost}
+    restart is pending — the next {!resolve} runs cold. *)
 val set_rhs : state -> row:int -> float -> unit
 
-(** [resolve st] solves the current system: dual-simplex restart from
-    the previous optimal basis when warm (counted as
-    [lp.warmstart.hits]; stalls fall back to the cold path as
+(** [set_cost st c] replaces the objective [c] (length {!num_cols}; the
+    array is copied). On a warm state whose basic values are all
+    feasible, the objective row is repriced against the current basis
+    and the next {!resolve} restarts primal phase 2 from it (timed as
+    [lp.primal.seconds]); its verdict is certified like a dual restart,
+    and an unbounded or stalled restart, a failed certificate or an
+    injected [Spurious_solver_error] falls back to the cold path. Any
+    other state goes cold. *)
+val set_cost : state -> float array -> unit
+
+(** [resolve st] solves the current system: a restart from the previous
+    optimal basis when warm — primal phase 2 after {!set_cost}, dual
+    simplex otherwise — counted as [lp.warmstart.hits] (stalls and
+    failed certificates fall back to the cold path as
     [lp.warmstart.fallbacks]), two-phase primal otherwise
-    ([lp.warmstart.misses]). [max_iters] caps the per-phase iteration
+    ([lp.warmstart.misses]). The warm path serves at most 100
+    consecutive solves before a cold refresh. [max_iters] caps the per-phase iteration
     count (default: a size-scaled limit); exceeding it yields
     {!Stalled}. [obj_limit] stops a warm dual solve early once weak
     duality certifies the (minimisation) objective is ≥ the limit — the

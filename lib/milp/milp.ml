@@ -8,8 +8,13 @@
     suffices to fathom every node whose relaxation bound is ≤ θ, and to
     stop as soon as an integer-feasible point exceeds θ.
 
-    The model is lowered {e once} per solve ({!Cv_lp.Lp.compile} with
-    the binaries fixable): each node relaxation is then a handful of
+    The model is lowered {e once} per problem ({!Cv_lp.Lp.compile} with
+    the binaries fixable) and its root-optimal compiled state is kept
+    between solves: the next {!maximize} or {!minimize} on the problem
+    swaps that state's objective and restarts primal phase 2 from its
+    basis ({!Cv_lp.Lp.set_objective_compiled}), so the 2·d bound queries
+    of a containment check pay one lowering and one cold root solve.
+    Within a search each node relaxation is then a handful of
     rhs updates plus a dual-simplex warm restart from the previous
     node's optimal basis — the objective is fixed for the whole search,
     so any node's optimal basis is dual-feasible for every other node.
@@ -42,27 +47,38 @@ type result =
           when even the root relaxation did not finish) and [incumbent]
           the best integer-feasible point found so far *)
 
+type root_cache = Cv_lp.Lp.compiled option
+
 type problem = {
   lp : Cv_lp.Lp.problem;
   mutable binaries : int list;
   mutable nbin : int;  (** cached [List.length binaries] *)
+  mutable root : root_cache;
+      (** the last solve's root-optimal compiled state, untouched by any
+          dive; [None] while a search runs and after a model change *)
 }
 
 (** [create ()] is an empty MILP model. *)
-let create () = { lp = Cv_lp.Lp.create (); binaries = []; nbin = 0 }
+let create () =
+  { lp = Cv_lp.Lp.create (); binaries = []; nbin = 0; root = None }
 
 (** [add_var p ?lo ?hi ?name ()] declares a continuous variable. *)
-let add_var p ?lo ?hi ?name () = Cv_lp.Lp.add_var p.lp ?lo ?hi ?name ()
+let add_var p ?lo ?hi ?name () =
+  p.root <- None;
+  Cv_lp.Lp.add_var p.lp ?lo ?hi ?name ()
 
 (** [add_binary p ?name ()] declares a 0/1 integer variable. *)
 let add_binary p ?name () =
+  p.root <- None;
   let v = Cv_lp.Lp.add_var p.lp ~lo:0. ~hi:1. ?name () in
   p.binaries <- v :: p.binaries;
   p.nbin <- p.nbin + 1;
   v
 
 (** [add_constraint p terms op rhs] adds a linear constraint. *)
-let add_constraint p terms op rhs = Cv_lp.Lp.add_constraint p.lp terms op rhs
+let add_constraint p terms op rhs =
+  p.root <- None;
+  Cv_lp.Lp.add_constraint p.lp terms op rhs
 
 (** [var_count p] / [constraint_count p] expose model size for
     reports. *)
@@ -257,9 +273,20 @@ let maximize ?deadline ?cutoff ?known_feasible ?(node_limit = 200_000)
   let better_than_cutoff s =
     match cutoff with Some theta -> s.objective > theta +. 1e-7 | None -> false
   in
+  (* Take the cached root state: the search owns it until it puts a
+     root-optimal state back, so an escaping exception just leaves the
+     next solve to compile afresh. *)
+  let cached = p.root in
+  p.root <- None;
   match
     (try
-       let c0 = Cv_lp.Lp.compile ~fixable:p.binaries p.lp in
+       let c0 =
+         match cached with
+         | Some c ->
+           Cv_lp.Lp.set_objective_compiled c ~maximize:true terms;
+           c
+         | None -> Cv_lp.Lp.compile ~fixable:p.binaries p.lp
+       in
        `Root (c0, Cv_lp.Lp.solve_compiled ?deadline ?max_iters c0)
      with Cv_util.Deadline.Expired _ ->
        (* Even the root relaxation did not finish: no certified bound. *)
@@ -281,12 +308,14 @@ let maximize ?deadline ?cutoff ?known_feasible ?(node_limit = 200_000)
           { wc = (if i = 0 then c0 else Cv_lp.Lp.copy_compiled c0);
             wfixed = [] })
     in
-    (* Pristine unfixed solver state, cloned before any dive mutates a
-       slot. A crashed dive can leave its slot's rhs out of sync with
-       [wfixed]; a binary silently left fixed over-constrains later
-       nodes and could unsoundly lower their bounds, so a crashed slot
-       is rebuilt from this copy rather than trusted. *)
-    let pristine = Cv_lp.Lp.copy_compiled c0 in
+    (* Pristine unfixed solver state, cloned before slot 0's first
+       solve mutates [c0] (slots 1.. run on their own copies). A crashed
+       dive can leave its slot's rhs out of sync with [wfixed]; a binary
+       silently left fixed over-constrains later nodes and could
+       unsoundly lower their bounds, so a crashed slot is rebuilt from
+       this copy rather than trusted. A search fathomed at its root
+       never copies. *)
+    let pristine = lazy (Cv_lp.Lp.copy_compiled c0) in
     let crashes = ref 0 in
     (* Best-first frontier keyed by the parent relaxation bound. *)
     let frontier = Cv_util.Heap.create () in
@@ -440,6 +469,11 @@ let maximize ?deadline ?cutoff ?known_feasible ?(node_limit = 200_000)
             incr k
         done;
         let batch = List.rev !batch in
+        (* Slot 0 dives on [c0] itself: copy the root state first if its
+           node beats the prune bound, i.e. is about to be solved. *)
+        (match batch with
+        | (b, _) :: _ when b > pb0 +. 1e-9 -> ignore (Lazy.force pristine)
+        | _ -> ());
         let budget = max 1 ((node_limit - !nodes) / max 1 !k) in
         (* Each dive is crash-isolated: an exception (a poisoned worker,
            an injected fault) becomes [Error] for that slot only. *)
@@ -480,7 +514,8 @@ let maximize ?deadline ?cutoff ?known_feasible ?(node_limit = 200_000)
               let b, f = List.nth batch slot in
               Cv_util.Heap.push frontier b f;
               workers.(slot) <-
-                { wc = Cv_lp.Lp.copy_compiled pristine; wfixed = [] }
+                { wc = Cv_lp.Lp.copy_compiled (Lazy.force pristine);
+                  wfixed = [] }
             | Ok (count, events) ->
               nodes := !nodes + count;
               Cv_util.Metrics.add m_nodes count;
@@ -513,6 +548,9 @@ let maximize ?deadline ?cutoff ?known_feasible ?(node_limit = 200_000)
         if !result = None && !stopped then timeout_now ()
       end
     done;
+    (* No dive runs past this point: keep a root-optimal state for the
+       next solve on this problem. *)
+    p.root <- Some (if Lazy.is_val pristine then Lazy.force pristine else c0);
     (match !result with
     | Some r -> r
     | None -> (
@@ -523,20 +561,22 @@ let maximize ?deadline ?cutoff ?known_feasible ?(node_limit = 200_000)
         match !result with Some r -> r | None -> assert false
       end
       else
+        let ub = Float.max !pruned_max !incumbent_val in
         match (cutoff, !incumbent) with
-        | None, Some s -> Optimal s
-        | None, None -> (
+        | Some theta, _ when ub <= theta +. 1e-7 ->
+          (* Search exhausted without beating the cutoff: the optimum is
+             provably at most max(pruned bounds, incumbent). *)
+          if ub = Float.neg_infinity then Infeasible else Below_cutoff ub
+        | _, Some s -> Optimal s
+        | _, None -> (
+          (* No cutoff, or [known_feasible] beat it and every node was
+             pruned against the seed: an optimisation answer. *)
           match known_feasible with
           | Some v when !pruned_max <= v +. 1e-9 ->
             (* Everything was fathomed against the seed: the seed is the
                optimum (no explicit solution vector available). *)
             Optimal { objective = v; values = [||] }
-          | _ -> Infeasible)
-        | Some _, _ ->
-          (* Search exhausted without beating the cutoff: the optimum is
-             provably at most max(pruned bounds, incumbent). *)
-          let ub = Float.max !pruned_max !incumbent_val in
-          if ub = Float.neg_infinity then Infeasible else Below_cutoff ub))
+          | _ -> Infeasible)))
 
 (** [minimize ?cutoff ?known_feasible ?node_limit ?domains p terms]
     minimises by negating the objective. Snapshots stay in the internal

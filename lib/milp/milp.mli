@@ -3,11 +3,19 @@
 
     Branching is best-first on the LP relaxation bound (a binary
     max-heap frontier) with most-fractional selection. The model is
-    lowered once per solve; node relaxations are rhs updates solved by
-    dual-simplex warm restarts from the previous optimal basis. The
-    optional [cutoff] turns an optimisation into a decision: proving
-    "max ≤ θ" fathoms every node whose bound is ≤ θ and stops as soon
-    as an integer point exceeds θ. *)
+    lowered once per problem: a problem keeps the root-optimal state of
+    its last solve, and the next solve swaps that state's objective and
+    restarts primal phase 2 from its basis. Node relaxations are rhs
+    updates solved by dual-simplex warm restarts from the previous
+    optimal basis. The optional [cutoff] turns an optimisation into a
+    decision: proving "max ≤ θ" fathoms every node whose bound is ≤ θ
+    and stops as soon as an integer point exceeds θ.
+
+    A problem is mutable solver state: it must not be solved from two
+    domains at once (each solve also installs its objective on [lp]).
+    Build it only through {!add_var}, {!add_binary} and
+    {!add_constraint}, which drop the cached root state; [lp] is a
+    read-only view. *)
 
 type solution = { objective : float; values : float array }
 
@@ -19,7 +27,8 @@ type result =
       (** an integer point beat the requested cutoff; search stopped *)
   | Below_cutoff of float
       (** every node was fathomed at or below the cutoff; the payload is
-          a proven upper bound on the true optimum (≤ cutoff) *)
+          a proven upper bound on the true optimum, at most
+          [cutoff + 1e-7] *)
   | Timeout of { bound : float; incumbent : solution option }
       (** the deadline, node budget or simplex iteration budget expired
           before the gap closed; [bound] is a certified bound on the
@@ -28,10 +37,14 @@ type result =
           when even the root relaxation did not finish) and [incumbent]
           the best integer-feasible point found so far *)
 
-type problem = {
+(** The compiled root state a problem keeps between solves. *)
+type root_cache
+
+type problem = private {
   lp : Cv_lp.Lp.problem;
   mutable binaries : int list;
   mutable nbin : int;  (** cached [List.length binaries] *)
+  mutable root : root_cache;
 }
 
 (** [create ()] is an empty MILP model. *)
@@ -60,7 +73,8 @@ val binary_count : problem -> int
     [known_feasible] is an externally certified feasible objective value
     that seeds the incumbent for pruning; if the search then closes
     without an explicit incumbent, an [Optimal] with empty [values] is
-    returned. [domains > 1] solves frontier nodes in parallel batches
+    returned — also under a [cutoff] the seed already beats, so
+    [Below_cutoff] never reports a bound above the cutoff. [domains > 1] solves frontier nodes in parallel batches
     on {!Cv_util.Parallel} domains, merging results in deterministic
     batch order. [max_iters] caps simplex iterations per LP phase
     (stalls degrade to [Timeout]). On deadline or node-budget

@@ -197,30 +197,43 @@ let lift_result e ~seed_input ~in_dim = function
 (** [max_output ?deadline ?cutoff ?domains enc ~output] maximises one
     output neuron over the encoded set (exactly — the sampling seed only
     accelerates pruning). [domains > 1] parallelises the
-    branch-and-bound dives. *)
+    branch-and-bound dives. A seed above [cutoff] returns
+    [Cutoff_reached] with the seed input as [values]. *)
 let max_output ?deadline ?cutoff ?domains ?checkpoint ?resume enc ~output =
   let e = enc.outputs.(output) in
   let seed_val, seed_input = enc.seeds.(output).(0) in
-  let cutoff' = Option.map (fun t -> t -. e.const) cutoff in
-  (* The seed is a feasible value, so the optimum is ≥ seed: prune with
-     it via the cutoff mechanism only when it does not weaken the
-     caller's query semantics (no user cutoff → use seed as a pruning
-     floor through known_feasible). *)
-  Milp.maximize ?deadline ?cutoff:cutoff' ?domains ?checkpoint ?resume
-    ~known_feasible:(seed_val -. e.const)
-    enc.problem e.terms
-  |> lift_result e ~seed_input ~in_dim:(Array.length enc.input_vars)
+  match cutoff with
+  | Some t when seed_val > t +. 1e-7 ->
+    (* The seed is a concrete network value: beating the cutoff (by the
+       solver's own margin) it answers the decision query, witness
+       included. *)
+    Milp.Cutoff_reached
+      { Milp.objective = seed_val; values = Array.copy seed_input }
+  | _ ->
+    let cutoff' = Option.map (fun t -> t -. e.const) cutoff in
+    (* The seed is a feasible value, so the optimum is ≥ seed: it prunes
+       as the incumbent floor ([known_feasible]). *)
+    Milp.maximize ?deadline ?cutoff:cutoff' ?domains ?checkpoint ?resume
+      ~known_feasible:(seed_val -. e.const)
+      enc.problem e.terms
+    |> lift_result e ~seed_input ~in_dim:(Array.length enc.input_vars)
 
 (** [min_output ?deadline ?cutoff ?domains enc ~output] minimises one
-    output neuron. *)
+    output neuron; a seed below [cutoff] returns [Cutoff_reached] with
+    the seed input. *)
 let min_output ?deadline ?cutoff ?domains ?checkpoint ?resume enc ~output =
   let e = enc.outputs.(output) in
   let seed_val, seed_input = enc.seeds.(output).(1) in
-  let cutoff' = Option.map (fun t -> t -. e.const) cutoff in
-  Milp.minimize ?deadline ?cutoff:cutoff' ?domains ?checkpoint ?resume
-    ~known_feasible:(seed_val -. e.const)
-    enc.problem e.terms
-  |> lift_result e ~seed_input ~in_dim:(Array.length enc.input_vars)
+  match cutoff with
+  | Some t when seed_val < t -. 1e-7 ->
+    Milp.Cutoff_reached
+      { Milp.objective = seed_val; values = Array.copy seed_input }
+  | _ ->
+    let cutoff' = Option.map (fun t -> t -. e.const) cutoff in
+    Milp.minimize ?deadline ?cutoff:cutoff' ?domains ?checkpoint ?resume
+      ~known_feasible:(seed_val -. e.const)
+      enc.problem e.terms
+    |> lift_result e ~seed_input ~in_dim:(Array.length enc.input_vars)
 
 (** [stats enc] is [(vars, constraints, binaries)] for reports. *)
 let stats enc =

@@ -32,7 +32,9 @@ val encode : net:Cv_nn.Network.t -> input_box:Cv_interval.Box.t -> encoding
     [checkpoint]/[resume] snapshot and restore the branch-and-bound
     state (see {!Milp.maximize}); snapshots are in the encoded
     (constant-stripped) objective space, so they only resume the same
-    query on the same encoding. *)
+    query on the same encoding. When the sampling seed already exceeds
+    [cutoff], returns [Cutoff_reached] with the seed input as [values]
+    without searching. *)
 val max_output :
   ?deadline:Cv_util.Deadline.t ->
   ?cutoff:float ->
@@ -44,7 +46,8 @@ val max_output :
   Milp.result
 
 (** [min_output ?deadline ?cutoff ?domains enc ~output] minimises one
-    output neuron. *)
+    output neuron; a seed already below [cutoff] returns
+    [Cutoff_reached] with the seed input. *)
 val min_output :
   ?deadline:Cv_util.Deadline.t ->
   ?cutoff:float ->

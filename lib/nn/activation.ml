@@ -85,7 +85,9 @@ let to_json act =
   | Tanh -> Str "tanh"
   | Identity -> Str "identity"
 
-(** [of_json j] decodes an activation written by {!to_json}. *)
+(** [of_json j] decodes an activation written by {!to_json}. A leaky
+    slope outside [[0, 1]] is refused: the big-M rows, the interval
+    image and every abstract domain assume that range. *)
 let of_json j =
   let open Cv_util.Json in
   match j with
@@ -93,5 +95,11 @@ let of_json j =
   | Str "sigmoid" -> Sigmoid
   | Str "tanh" -> Tanh
   | Str "identity" -> Identity
-  | Obj [ ("leaky_relu", Num slope) ] -> Leaky_relu slope
+  | Obj [ ("leaky_relu", Num slope) ] ->
+    if slope >= 0. && slope <= 1. then Leaky_relu slope
+    else
+      raise
+        (Error
+           (Printf.sprintf "Activation.of_json: leaky_relu slope %g outside [0, 1]"
+              slope))
   | _ -> raise (Error "Activation.of_json")

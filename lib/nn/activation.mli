@@ -38,4 +38,7 @@ val to_string : t -> string
 
 val to_json : t -> Cv_util.Json.t
 
+(** [of_json j] decodes {!to_json}'s output; raises
+    {!Cv_util.Json.Error} on anything else, including a leaky-ReLU slope
+    that is not a number in [[0, 1]]. *)
 val of_json : Cv_util.Json.t -> t

@@ -19,8 +19,11 @@ type t = {
 (* Progress document for checkpoint/resume: the per-output queries
    already closed (with their exact optima, in completion order) plus
    at most one in-flight branch-and-bound snapshot. Completed values
-   are exact, so replaying them on resume reproduces the uninterrupted
-   run's range bit-for-bit. *)
+   are replayed as recorded, so a resumed run reproduces the
+   uninterrupted run's range within a few ulps: the first query it
+   solves starts from a cold lowering, where the uninterrupted run
+   restarted warm from the previous query's root basis and may have
+   ended on another optimal vertex of a degenerate LP. *)
 let progress_doc ~completed inflight =
   J.Obj
     [ ( "done",

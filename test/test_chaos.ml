@@ -160,6 +160,34 @@ let test_spurious_solver_error_identical () =
     (baseline = Cv_verify.Containment.Proved
     && faulty = Cv_verify.Containment.Proved)
 
+(* Armed on every poll, the fault fails every warm restart — the primal
+   restart after an objective swap as well as the dual one inside a
+   search — so every solve goes cold and both verdicts stay the
+   fault-free ones. *)
+let test_spurious_solver_error_always_cold () =
+  F.reset ();
+  let baseline = (check_verdict provable, check_verdict falsifiable) in
+  let counter name = Cv_util.Metrics.value (Cv_util.Metrics.counter name) in
+  let hits0 = counter "lp.warmstart.hits" in
+  let fallbacks0 = counter "lp.warmstart.fallbacks" in
+  let faulty =
+    F.with_fault F.Spurious_solver_error (fun () ->
+        (check_verdict provable, check_verdict falsifiable))
+  in
+  let label = function
+    | Cv_verify.Containment.Proved -> "proved"
+    | Cv_verify.Containment.Violated _ -> "violated"
+    | Cv_verify.Containment.Unknown _ -> "unknown"
+  in
+  Alcotest.(check (pair string string)) "fault-free verdicts"
+    (label (fst baseline), label (snd baseline))
+    (label (fst faulty), label (snd faulty));
+  Alcotest.(check string) "provable stays proved" "proved" (label (fst faulty));
+  Alcotest.(check int) "no warm restart survives" 0
+    (counter "lp.warmstart.hits" - hits0);
+  Alcotest.(check bool) "restarts fell back cold" true
+    (counter "lp.warmstart.fallbacks" > fallbacks0)
+
 let test_alloc_failure_once_recovers () =
   F.reset ();
   F.with_fault ~mode:F.Once F.Alloc_failure (fun () ->
@@ -210,6 +238,8 @@ let () =
             test_solver_failure_always_no_exception;
           Alcotest.test_case "spurious solver error" `Quick
             test_spurious_solver_error_identical;
+          Alcotest.test_case "spurious solver error always" `Quick
+            test_spurious_solver_error_always_cold;
           Alcotest.test_case "alloc failure once" `Quick
             test_alloc_failure_once_recovers;
           Alcotest.test_case "seeded campaign" `Quick test_campaign_soundness ]

@@ -460,6 +460,130 @@ let test_compiled_fixing_validation () =
   | _ -> Alcotest.fail "expected optimal"
 
 (* ------------------------------------------------------------------ *)
+(* Objective swaps on one compiled model                               *)
+(* ------------------------------------------------------------------ *)
+
+let counter name = Cv_util.Metrics.value (Cv_util.Metrics.counter name)
+
+(* A new objective on a root-optimal compiled model restarts primal
+   phase 2 from its basis: no second cold solve, same optimum as a fresh
+   lowering. *)
+let test_objective_swap_restarts_warm () =
+  let p = Cv_lp.Lp.create () in
+  let x = Cv_lp.Lp.add_var p ~lo:0. ~hi:4. () in
+  let y = Cv_lp.Lp.add_var p ~lo:(-1.) ~hi:3. () in
+  Cv_lp.Lp.add_constraint p [ (1., x); (2., y) ] Cv_lp.Lp.Le 4.;
+  Cv_lp.Lp.add_constraint p [ (3., x); (1., y) ] Cv_lp.Lp.Le 6.;
+  Cv_lp.Lp.set_objective p ~maximize:true [ (1., x); (1., y) ];
+  let c = Cv_lp.Lp.compile p in
+  ignore (Cv_lp.Lp.solve_compiled c);
+  let misses0 = counter "lp.warmstart.misses" in
+  let hits0 = counter "lp.warmstart.hits" in
+  let objectives =
+    [ (false, [ (1., x); (1., y) ]); (true, [ (2., x); (-1., y) ]);
+      (false, [ (-1., x); (3., y) ]) ]
+  in
+  List.iter
+    (fun (maximize, terms) ->
+      Cv_lp.Lp.set_objective_compiled c ~maximize terms;
+      Cv_lp.Lp.set_objective p ~maximize terms;
+      match (Cv_lp.Lp.solve_compiled c, Cv_lp.Lp.solve (Cv_lp.Lp.copy p)) with
+      | Cv_lp.Lp.Optimal sc, Cv_lp.Lp.Optimal sf ->
+        check_float "restart = fresh objective" sf.Cv_lp.Lp.objective
+          sc.Cv_lp.Lp.objective;
+        Alcotest.(check (float 0.)) "frame follows the objective"
+          (if maximize then -1. else 1.)
+          (fst (Cv_lp.Lp.compiled_frame c))
+      | _ -> Alcotest.fail "expected optimal restarts")
+    objectives;
+  (* The fresh solves above are cold; the restarts are not. *)
+  Alcotest.(check int) "restarts are warm hits" 3
+    (counter "lp.warmstart.hits" - hits0);
+  Alcotest.(check int) "only the fresh solves miss" 3
+    (counter "lp.warmstart.misses" - misses0)
+
+(* Random objective sequences on one compiled model — max and min
+   alternating, a fixable variable re-bounded before or after each
+   swap — against a fresh lowering and cold solve of the same model. *)
+let lp_objective_sequence_prop =
+  QCheck.Test.make ~name:"objective swaps on one compiled model = fresh solves"
+    ~count:150
+    QCheck.(
+      triple
+        (list_of_size (Gen.return 16) (float_range (-2.) 2.))
+        (list_of_size (Gen.return 30) (float_range (-3.) 3.))
+        (list_of_size (Gen.return 15) bool))
+    (fun (rows, steps, flags) ->
+      let rows = Array.of_list rows
+      and steps = Array.of_list steps
+      and flags = Array.of_list flags in
+      (* x, y fixable (shifted), z upper-bounded only (reflected), w free
+         (split); Le, Ge and Eq rows, all satisfied at the origin. *)
+      let build () =
+        let p = Cv_lp.Lp.create () in
+        let x = Cv_lp.Lp.add_var p ~lo:0. ~hi:2. () in
+        let y = Cv_lp.Lp.add_var p ~lo:(-1.) ~hi:3. () in
+        let z = Cv_lp.Lp.add_var p ~hi:4. () in
+        let w = Cv_lp.Lp.add_var p () in
+        let vars = [| x; y; z; w |] in
+        let row k = List.init 4 (fun j -> (rows.((4 * k) + j), vars.(j))) in
+        Cv_lp.Lp.add_constraint p (row 0) Cv_lp.Lp.Le (Float.abs rows.(0) +. 0.5);
+        Cv_lp.Lp.add_constraint p (row 1) Cv_lp.Lp.Le (Float.abs rows.(5) +. 0.5);
+        Cv_lp.Lp.add_constraint p (row 2) Cv_lp.Lp.Ge
+          (-.(Float.abs rows.(10) +. 0.5));
+        Cv_lp.Lp.add_constraint p (row 3) Cv_lp.Lp.Eq 0.;
+        (p, vars)
+      in
+      let p, vars = build () in
+      let boxes = [| (0., 2.); (-1., 3.) |] in
+      let c = Cv_lp.Lp.compile ~fixable:[ vars.(0); vars.(1) ] p in
+      let same a b =
+        match (a, b) with
+        | Cv_lp.Lp.Optimal sa, Cv_lp.Lp.Optimal sb ->
+          let oa = sa.Cv_lp.Lp.objective and ob = sb.Cv_lp.Lp.objective in
+          Float.abs (oa -. ob)
+          <= 1e-7 *. Float.max 1. (Float.max (Float.abs oa) (Float.abs ob))
+        | Cv_lp.Lp.Infeasible, Cv_lp.Lp.Infeasible
+        | Cv_lp.Lp.Unbounded, Cv_lp.Lp.Unbounded
+        | Cv_lp.Lp.Stalled, Cv_lp.Lp.Stalled ->
+          true
+        | _ -> false
+      in
+      List.for_all
+        (fun k ->
+          let maximize = k mod 2 = 0 in
+          let terms = List.init 4 (fun j -> (steps.((6 * k) + j), vars.(j))) in
+          let rebound () =
+            if flags.((3 * k) + 1) then begin
+              let i = if flags.((3 * k) + 2) then 0 else 1 in
+              let l, u = boxes.(i) in
+              let at f = l +. ((u -. l) *. (f +. 3.) /. 6.) in
+              let a = at steps.((6 * k) + 4) and b = at steps.((6 * k) + 5) in
+              Cv_lp.Lp.set_bounds_compiled c vars.(i) ~lo:(Float.min a b)
+                ~hi:(Float.max a b);
+              boxes.(i) <- (Float.min a b, Float.max a b)
+            end
+          in
+          (* Re-bounding before the swap leaves a repriced warm basis;
+             after it, the pending restart must give way to a cold
+             solve. *)
+          if flags.(3 * k) then rebound ();
+          Cv_lp.Lp.set_objective_compiled c ~maximize terms;
+          if not flags.(3 * k) then rebound ();
+          let fresh =
+            let p', vars' = build () in
+            Array.iteri
+              (fun i (lo, hi) -> Cv_lp.Lp.set_bounds p' vars'.(i) ~lo ~hi)
+              boxes;
+            Cv_lp.Lp.set_objective p' ~maximize
+              (List.map2 (fun (coef, _) v -> (coef, v)) terms
+                 (Array.to_list vars'));
+            Cv_lp.Lp.solve p'
+          in
+          same (Cv_lp.Lp.solve_compiled c) fresh)
+        [ 0; 1; 2; 3; 4 ])
+
+(* ------------------------------------------------------------------ *)
 (* Iteration-limit degradation                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -513,7 +637,10 @@ let () =
           Alcotest.test_case "fixing validation" `Quick
             test_compiled_fixing_validation;
           Alcotest.test_case "stalled on iteration limit" `Quick
-            test_stalled_on_iteration_limit ] );
+            test_stalled_on_iteration_limit;
+          Alcotest.test_case "objective swap restarts warm" `Quick
+            test_objective_swap_restarts_warm;
+          QCheck_alcotest.to_alcotest lp_objective_sequence_prop ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest lp_box_corner_prop;
           QCheck_alcotest.to_alcotest lp_solution_feasible_prop;

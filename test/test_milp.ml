@@ -109,6 +109,134 @@ let milp_vs_bruteforce_prop =
       | Cv_milp.Milp.Optimal s -> Float.abs (s.Cv_milp.Milp.objective -. !best) < 1e-5
       | _ -> false)
 
+(* A cutoff query seeded with a feasible value above its cutoff must not
+   report [Below_cutoff] with that value: the seed beats the cutoff. *)
+let test_seed_above_cutoff () =
+  (* max x s.t. x <= b, x in [0,1], b binary: optimum 1 *)
+  let p = Cv_milp.Milp.create () in
+  let x = Cv_milp.Milp.add_var p ~lo:0. ~hi:1. () in
+  let b = Cv_milp.Milp.add_binary p () in
+  Cv_milp.Milp.add_constraint p [ (1., x); (-1., b) ] Cv_lp.Lp.Le 0.;
+  match Cv_milp.Milp.maximize ~cutoff:0.5 ~known_feasible:1. p [ (1., x) ] with
+  | Cv_milp.Milp.Below_cutoff ub ->
+    Alcotest.failf "Below_cutoff %g above the 0.5 cutoff" ub
+  | Cv_milp.Milp.Optimal s -> check_float "the seed is optimal" 1. s.Cv_milp.Milp.objective
+  | Cv_milp.Milp.Cutoff_reached s ->
+    Alcotest.(check bool) "beats the cutoff" true (s.Cv_milp.Milp.objective > 0.5)
+  | _ -> Alcotest.fail "expected an answer above the cutoff"
+
+(* Brute-force optimum of [max profits·b s.t. weights·b <= 4] over
+   binary [b], and the objective of the [pick]-th feasible point. *)
+let knapsack_brute profits weights ~pick =
+  let best = ref Float.neg_infinity and feasible = ref [] in
+  for mask = 0 to 15 do
+    let bit i = if mask land (1 lsl i) <> 0 then 1. else 0. in
+    let dot c = List.fold_left ( +. ) 0. (List.mapi (fun i ci -> ci *. bit i) c) in
+    if dot weights <= 4. +. 1e-9 then begin
+      best := Float.max !best (dot profits);
+      feasible := dot profits :: !feasible
+    end
+  done;
+  (!best, List.nth !feasible (pick mod List.length !feasible))
+
+let knapsack profits weights =
+  let p = Cv_milp.Milp.create () in
+  let vars = List.map (fun _ -> Cv_milp.Milp.add_binary p ()) profits in
+  Cv_milp.Milp.add_constraint p
+    (List.map2 (fun w v -> (w, v)) weights vars)
+    Cv_lp.Lp.Le 4.;
+  (p, List.map2 (fun c v -> (c, v)) profits vars)
+
+(* [Below_cutoff ub] is a proof that the optimum is at most the cutoff:
+   whatever the seed, [ub] never exceeds it. *)
+let milp_below_cutoff_sound_prop =
+  QCheck.Test.make ~name:"Below_cutoff never exceeds its cutoff" ~count:200
+    QCheck.(
+      quad
+        (list_of_size (Gen.return 4) (float_range (-5.) 5.))
+        (list_of_size (Gen.return 4) (float_range 0.5 3.))
+        (float_range (-6.) 12.) small_nat)
+    (fun (profits, weights, cutoff, pick) ->
+      let best, seed = knapsack_brute profits weights ~pick in
+      let p, terms = knapsack profits weights in
+      match Cv_milp.Milp.maximize ~cutoff ~known_feasible:seed p terms with
+      | Cv_milp.Milp.Below_cutoff ub -> ub <= cutoff +. 1e-7 && best <= cutoff +. 1e-6
+      | Cv_milp.Milp.Optimal s -> Float.abs (s.Cv_milp.Milp.objective -. best) < 1e-6
+      | Cv_milp.Milp.Cutoff_reached s ->
+        s.Cv_milp.Milp.objective > cutoff && s.Cv_milp.Milp.objective <= best +. 1e-6
+      | _ -> false)
+
+(* Small mixed programs for the objective-swap checks: four binaries
+   and one continuous variable, two rows satisfied at the origin. *)
+let mixed_program rows =
+  let rows = Array.of_list rows in
+  let p = Cv_milp.Milp.create () in
+  let bins = List.init 4 (fun _ -> Cv_milp.Milp.add_binary p ()) in
+  let x = Cv_milp.Milp.add_var p ~lo:(-1.) ~hi:2. () in
+  let vars = Array.of_list (bins @ [ x ]) in
+  for k = 0 to 1 do
+    Cv_milp.Milp.add_constraint p
+      (List.init 5 (fun j -> (rows.((6 * k) + j), vars.(j))))
+      Cv_lp.Lp.Le
+      (Float.abs rows.((6 * k) + 5) +. 0.5)
+  done;
+  (p, vars)
+
+let same_result a b =
+  match (a, b) with
+  | Cv_milp.Milp.Optimal sa, Cv_milp.Milp.Optimal sb ->
+    Float.abs (sa.Cv_milp.Milp.objective -. sb.Cv_milp.Milp.objective) < 1e-6
+  | Cv_milp.Milp.Infeasible, Cv_milp.Milp.Infeasible
+  | Cv_milp.Milp.Unbounded, Cv_milp.Milp.Unbounded ->
+    true
+  | _ -> false
+
+(* One problem answering a sequence of alternating max/min queries —
+   each restarting from the previous root state — agrees with fresh
+   problems built for every query. *)
+let milp_alternating_prop =
+  QCheck.Test.make ~name:"alternating max/min on one problem = fresh problems"
+    ~count:80
+    QCheck.(
+      pair
+        (list_of_size (Gen.return 12) (float_range (-3.) 3.))
+        (list_of_size (Gen.return 20) (float_range (-5.) 5.)))
+    (fun (rows, objs) ->
+      let objs = Array.of_list objs in
+      let shared, vars = mixed_program rows in
+      List.for_all
+        (fun k ->
+          let terms = List.init 5 (fun j -> (objs.((5 * k) + j), vars.(j))) in
+          let solve p =
+            if k mod 2 = 0 then Cv_milp.Milp.maximize p terms
+            else Cv_milp.Milp.minimize p terms
+          in
+          same_result (solve shared) (solve (fst (mixed_program rows))))
+        [ 0; 1; 2; 3 ])
+
+(* Model changes after a solve drop the cached root state: a new row
+   and a new binary both shape the next answer. *)
+let test_model_change_after_solve () =
+  let p = Cv_milp.Milp.create () in
+  let a = Cv_milp.Milp.add_binary p () in
+  let b = Cv_milp.Milp.add_binary p () in
+  let c = Cv_milp.Milp.add_binary p () in
+  Cv_milp.Milp.add_constraint p [ (3., a); (4., b); (2., c) ] Cv_lp.Lp.Le 5.;
+  let objective s = match s with
+    | Cv_milp.Milp.Optimal s -> s.Cv_milp.Milp.objective
+    | _ -> Alcotest.fail "expected optimal"
+  in
+  check_float "knapsack" 17.
+    (objective (Cv_milp.Milp.maximize p [ (10., a); (13., b); (7., c) ]));
+  Cv_milp.Milp.add_constraint p [ (1., a) ] Cv_lp.Lp.Le 0.;
+  check_float "a forced out" 13.
+    (objective (Cv_milp.Milp.maximize p [ (10., a); (13., b); (7., c) ]));
+  let d = Cv_milp.Milp.add_binary p () in
+  Cv_milp.Milp.add_constraint p [ (4., b); (5., d) ] Cv_lp.Lp.Le 5.;
+  check_float "new binary" 27.
+    (objective
+       (Cv_milp.Milp.maximize p [ (10., a); (13., b); (7., c); (20., d) ]))
+
 (* ------------------------------------------------------------------ *)
 (* ReLU encoding                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -308,7 +436,12 @@ let () =
             test_parallel_matches_sequential;
           Alcotest.test_case "stalled root times out" `Quick
             test_stalled_root_times_out;
-          QCheck_alcotest.to_alcotest milp_vs_bruteforce_prop ] );
+          Alcotest.test_case "seed above cutoff" `Quick test_seed_above_cutoff;
+          Alcotest.test_case "model change after solve" `Quick
+            test_model_change_after_solve;
+          QCheck_alcotest.to_alcotest milp_vs_bruteforce_prop;
+          QCheck_alcotest.to_alcotest milp_below_cutoff_sound_prop;
+          QCheck_alcotest.to_alcotest milp_alternating_prop ] );
       ( "relu-encoding",
         [ Alcotest.test_case "paper fig2: max = 6.2" `Quick
             test_paper_example_62;

@@ -60,6 +60,46 @@ let test_activation_json () =
     (fun a -> Alcotest.(check bool) (to_string a) true (of_json (to_json a) = a))
     [ Relu; Leaky_relu 0.2; Sigmoid; Tanh; Identity ]
 
+(* Leaky slopes outside [0, 1] break the big-M rows and every abstract
+   domain: a model carrying one is refused as malformed on load. *)
+let test_leaky_slope_validated () =
+  let model slope =
+    let net =
+      Cv_nn.Network.of_list
+        [ Cv_nn.Layer.make
+            (Cv_linalg.Mat.of_rows [ [| 1. |]; [| -1. |] ])
+            [| 0.; 0. |] (Cv_nn.Activation.Leaky_relu slope);
+          Cv_nn.Layer.make
+            (Cv_linalg.Mat.of_rows [ [| 1.; 1. |] ])
+            [| 0. |] Cv_nn.Activation.Identity ]
+    in
+    Cv_util.Json.to_string (Cv_nn.Serialize.network_to_json net)
+  in
+  let load slope =
+    let path = Filename.temp_file "cv_nn_leaky" ".json" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let oc = open_out path in
+        output_string oc (model slope);
+        close_out oc;
+        Cv_nn.Serialize.load_network_result path)
+  in
+  List.iter
+    (fun slope ->
+      match load slope with
+      | Error (Cv_nn.Serialize.Malformed _) -> ()
+      | _ -> Alcotest.failf "slope %g must be refused as malformed" slope)
+    [ -1.; 2. ];
+  List.iter
+    (fun slope ->
+      match load slope with
+      | Ok _ -> ()
+      | Error e ->
+        Alcotest.failf "slope %g must load: %s" slope
+          (Cv_nn.Serialize.load_error_message e))
+    [ 0.; 0.1; 1. ]
+
 (* ------------------------------------------------------------------ *)
 (* Layer / Network                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -457,6 +497,8 @@ let () =
           Alcotest.test_case "interval image" `Quick
             test_activation_interval_image;
           Alcotest.test_case "json" `Quick test_activation_json;
+          Alcotest.test_case "leaky slope validated" `Quick
+            test_leaky_slope_validated;
           QCheck_alcotest.to_alcotest activation_derivative_bound_prop ] );
       ( "layer+network",
         [ Alcotest.test_case "layer eval" `Quick test_layer_eval;

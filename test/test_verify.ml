@@ -223,6 +223,73 @@ let test_verifier_fallback_engine () =
   Alcotest.(check bool) "no chain artifact from fallback" true
     (r.Cv_verify.Verifier.abstractions = None)
 
+(* f(x) = relu(1 − 1000·(relu(x − p) + relu(p − x))): a spike of height
+   1 and width 0.002 at [p]. *)
+let spike_net p =
+  Cv_nn.Network.of_list
+    [ Cv_nn.Layer.make
+        (Cv_linalg.Mat.of_rows [ [| 1. |]; [| -1. |] ])
+        [| -.p; p |] Cv_nn.Activation.Relu;
+      Cv_nn.Layer.make
+        (Cv_linalg.Mat.of_rows [ [| -1000.; -1000. |] ])
+        [| 1. |] Cv_nn.Activation.Relu ]
+
+(* The spike sits on the MILP encoding's first sampling seed (its
+   sampler is [Rng.create 61]), where the falsifiers' samples miss it:
+   the seed alone beats the cutoff, and must be reported as the
+   counterexample instead of pruning the search into a proof. *)
+let test_spike_at_seed_violates () =
+  let din = Cv_interval.Box.uniform 1 ~lo:(-1.) ~hi:1. in
+  let p = (Cv_interval.Box.sample (Cv_util.Rng.create 61) din).(0) in
+  let net = spike_net p in
+  check_float "spike peak" 1. (Cv_nn.Network.eval net [| p |]).(0);
+  let dout = Cv_interval.Box.of_bounds [| -1. |] [| 0.5 |] in
+  (match
+     Cv_verify.Containment.check Cv_verify.Containment.Milp net ~input_box:din
+       ~target:dout
+   with
+  | Cv_verify.Containment.Violated v ->
+    check_float "witness at the peak" p v.Cv_verify.Falsify.input.(0)
+  | _ -> Alcotest.fail "the spike exceeds 0.5: must be violated");
+  let r =
+    Cv_verify.Verifier.verify_with_abstractions net
+      (Cv_verify.Property.make ~din ~dout)
+  in
+  match r.Cv_verify.Verifier.report.Cv_verify.Verifier.verdict with
+  | Cv_verify.Containment.Violated _ -> ()
+  | _ -> Alcotest.fail "verify_with_abstractions must find the spike"
+
+(* Every bound query of one containment check shares one lowering: the
+   2·d queries cold-solve once, then restart from the root state. *)
+let test_containment_lowers_once () =
+  let net =
+    Cv_nn.Network.of_list
+      [ Cv_nn.Layer.make
+          (Cv_linalg.Mat.of_rows [ [| 1.; -2. |]; [| -2.; 1. |]; [| 1.; -1. |] ])
+          [| 0.; 0.; 0. |] Cv_nn.Activation.Relu;
+        Cv_nn.Layer.make
+          (Cv_linalg.Mat.of_rows [ [| 2.; 2.; -1. |]; [| 1.; -1.; 2. |] ])
+          [| 0.; 0.5 |] Cv_nn.Activation.Relu ]
+  in
+  let input_box = Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1. in
+  let range = (Cv_verify.Range.exact_range net ~din:input_box).Cv_verify.Range.range in
+  let target =
+    Cv_interval.Box.of_bounds
+      (Array.map (fun l -> l -. 0.25) (Cv_interval.Box.lower range))
+      (Array.map (fun u -> u +. 0.25) (Cv_interval.Box.upper range))
+  in
+  let counter name = Cv_util.Metrics.value (Cv_util.Metrics.counter name) in
+  let misses0 = counter "lp.warmstart.misses" in
+  let solves0 = counter "milp.solves" in
+  (match
+     Cv_verify.Containment.check Cv_verify.Containment.Milp net ~input_box
+       ~target
+   with
+  | Cv_verify.Containment.Proved -> ()
+  | _ -> Alcotest.fail "the widened exact range must be proved");
+  Alcotest.(check int) "2·d bound queries" 4 (counter "milp.solves" - solves0);
+  Alcotest.(check int) "one cold solve" 1 (counter "lp.warmstart.misses" - misses0)
+
 let test_exact_range_fig2 () =
   let net = fig2_net () in
   let r =
@@ -331,6 +398,10 @@ let () =
             test_verifier_with_abstractions;
           Alcotest.test_case "fallback proof" `Quick
             test_verifier_fallback_engine;
+          Alcotest.test_case "spike at the MILP seed" `Quick
+            test_spike_at_seed_violates;
+          Alcotest.test_case "containment lowers once" `Quick
+            test_containment_lowers_once;
           Alcotest.test_case "exact range fig2" `Quick test_exact_range_fig2;
           Alcotest.test_case "verify_exact verdicts" `Quick
             test_verify_exact_verdicts ] ) ]
