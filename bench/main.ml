@@ -87,11 +87,11 @@ let table1 () =
       | Cv_core.Report.Exhausted _ -> "exhausted"
     in
     Printf.printf "%-8d %-13.3f %-28s %-28s\n" case orig_t
-      (Printf.sprintf "%.3f%% (%s, paper %.2f%%)"
+      (Printf.sprintf "%.2g%% (%s, paper %.2f%%)"
          (100. *. svudc_t /. orig_t)
          (verdict_str svudc_report)
          paper_svudc.(case - 1))
-      (Printf.sprintf "%.3f%% (%s, paper %.2f%%)"
+      (Printf.sprintf "%.2g%% (%s, paper %.2f%%)"
          (100. *. svbtv_t /. orig_t)
          (verdict_str svbtv_report)
          paper_svbtv.(case - 1))
@@ -768,7 +768,8 @@ let ablation_engines () =
     [ Cv_verify.Containment.Abstract Cv_domains.Analyzer.Box;
       Cv_verify.Containment.Abstract Cv_domains.Analyzer.Symint;
       Cv_verify.Containment.Symint_split 256;
-      Cv_verify.Containment.Milp ]
+      Cv_verify.Containment.Milp;
+      Cv_verify.Containment.Ladder ]
 
 let ablation_lipschitz () =
   banner "Ablation: Lipschitz estimator tightness (verified head, Linf)";

@@ -195,6 +195,7 @@ let artifact_arg ~mode =
 let engine_arg =
   let conv_engine s =
     match s with
+    | "ladder" -> Ok Cv_verify.Containment.Ladder
     | "milp" -> Ok Cv_verify.Containment.Milp
     | "symint-split" -> Ok (Cv_verify.Containment.Symint_split 4096)
     | "box" | "symint" | "zonotope" | "deeppoly" | "star" ->
@@ -206,12 +207,16 @@ let engine_arg =
   in
   Arg.(
     value
-    & opt (conv (conv_engine, pp_engine)) Cv_verify.Containment.Milp
+    & opt
+        (conv (conv_engine, pp_engine))
+        Cv_core.Strategy.default_config.Cv_core.Strategy.engine
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Verification engine: $(b,milp), $(b,symint-split), or a one-shot \
-           abstract domain ($(b,box), $(b,symint), $(b,zonotope), \
-           $(b,deeppoly), $(b,star)).")
+          "Verification engine: $(b,ladder) (symint bound first, cutoff \
+           MILP only for the output sides it leaves open), \
+           $(b,milp) (cutoff MILP on every side), $(b,symint-split), or a \
+           one-shot abstract domain ($(b,box), $(b,symint), \
+           $(b,zonotope), $(b,deeppoly), $(b,star)).")
 
 let timeout_arg =
   Arg.(

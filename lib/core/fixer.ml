@@ -20,7 +20,7 @@ type diagnosis = {
 
 (** [diagnose ?deadline ?engine ?domains p] runs the n independent
     Prop.-4 subproblems and reports which layers fail. *)
-let diagnose ?deadline ?(engine = Cv_verify.Containment.Milp) ?domains
+let diagnose ?deadline ?(engine = Cv_verify.Containment.Ladder) ?domains
     (p : Problem.svbtv) =
   match Svbtv.get_abstractions p with
   | None -> None
@@ -53,7 +53,7 @@ let diagnose ?deadline ?(engine = Cv_verify.Containment.Milp) ?domains
     when containment is re-established (possibly only at the output
     check), [Inconclusive] when the propagation reaches the output
     without ever being recaptured. *)
-let fix ?deadline ?(engine = Cv_verify.Containment.Milp)
+let fix ?deadline ?(engine = Cv_verify.Containment.Ladder)
     ?(domain = Cv_domains.Analyzer.Symint) (p : Problem.svbtv) ~failing_layer =
   match Svbtv.get_abstractions p with
   | None ->

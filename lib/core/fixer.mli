@@ -4,7 +4,8 @@
     abstraction is rebuilt and propagated forward until it is recaptured
     by the stored chain (or reaches — and is checked against —
     [D_out]); only when that also fails is the instance left to a full
-    re-verification. *)
+    re-verification. Every [?engine] defaults to
+    {!Cv_verify.Containment.Ladder}. *)
 
 type diagnosis = {
   failing : int list;  (** 1-based layer indices whose handoff failed *)

@@ -21,10 +21,11 @@ type config = {
   domains : int option;  (** worker domains for parallel subproblems *)
 }
 
-(** A sensible default configuration (MILP subproblems, symbolic-interval
-    abstractions, ∞-norm Lipschitz). *)
+(** A sensible default configuration (ladder subproblems — symint
+    bound first, cutoff MILP for the sides it leaves open —
+    symbolic-interval abstractions, ∞-norm Lipschitz). *)
 let default_config =
-  { engine = Cv_verify.Containment.Milp;
+  { engine = Cv_verify.Containment.Ladder;
     domain = Cv_domains.Analyzer.Symint;
     lipschitz_norm = Cv_lipschitz.Lipschitz.Linf;
     anchors = None;

@@ -19,8 +19,9 @@ type config = {
   domains : int option;  (** worker domains for parallel subproblems *)
 }
 
-(** A sensible default configuration (MILP subproblems, symbolic-interval
-    abstractions, ∞-norm Lipschitz). *)
+(** A sensible default configuration (ladder subproblems — symint
+    bound first, cutoff MILP for the sides it leaves open —
+    symbolic-interval abstractions, ∞-norm Lipschitz). *)
 val default_config : config
 
 (** [lipschitz ?cache net] is the pair of global Lipschitz constants an

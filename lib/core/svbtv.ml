@@ -79,7 +79,7 @@ let summarize name engine results ~wall =
     abstraction: [g'_1] over the enlarged domain into [S_1], each
     [g'_{i+1}] over [S_i] into [S_{i+1}], and [g'_n] over [S_{n-1}] into
     [D_out]. All subproblems are independent and run in parallel. *)
-let prop4 ?deadline ?(engine = Cv_verify.Containment.Milp) ?domains
+let prop4 ?deadline ?(engine = Cv_verify.Containment.Ladder) ?domains
     (p : Problem.svbtv) =
   match get_abstractions p with
   | None ->
@@ -106,8 +106,8 @@ let prop4 ?deadline ?(engine = Cv_verify.Containment.Milp) ?domains
     anchor layers [⟨α_1⟩ < … < ⟨α_l⟩] (paper-style 1-based indices with
     [1 < α < n]): subproblems run f' from one anchor's abstraction to
     the next. Fewer but harder subproblems than {!prop4}. *)
-let prop5 ?deadline ?(engine = Cv_verify.Containment.Milp) ?domains ~anchors
-    (p : Problem.svbtv) =
+let prop5 ?deadline ?(engine = Cv_verify.Containment.Ladder) ?domains
+    ~anchors (p : Problem.svbtv) =
   match get_abstractions p with
   | None ->
     { Report.name = "prop5";

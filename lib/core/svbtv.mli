@@ -1,5 +1,6 @@
 (** Solving SVbTV — fine-tuned network, possibly enlarged domain
-    (paper §IV-B). *)
+    (paper §IV-B). Every [?engine] defaults to
+    {!Cv_verify.Containment.Ladder}. *)
 
 (** [get_abstractions p] reads the stored state-abstraction chain from
     the instance's artifact, if any. *)

@@ -56,8 +56,9 @@ let trivial (p : Problem.svudc) =
 
 (** [prop1 ?deadline ?engine p] — proof reuse at layers 1 and 2: check
     [∀x ∈ D_in ∪ Δ_in, g₂(g₁(x)) ∈ S₂] on the two-layer prefix with an
-    exact engine (default MILP). *)
-let prop1 ?deadline ?(engine = Cv_verify.Containment.Milp) (p : Problem.svudc) =
+    exact engine (default the symint-then-MILP ladder). *)
+let prop1 ?deadline ?(engine = Cv_verify.Containment.Ladder)
+    (p : Problem.svudc) =
   match get_abstractions p with
   | None ->
     { Report.name = "prop1";
@@ -93,7 +94,7 @@ let prop1 ?deadline ?(engine = Cv_verify.Containment.Milp) (p : Problem.svudc) =
     ([S'_j ⊆ S_j]), then with the exact engine on the single-layer
     slice. *)
 let prop2 ?deadline ?(domain = Cv_domains.Analyzer.Symint)
-    ?(engine = Cv_verify.Containment.Milp) ?domains (p : Problem.svudc) =
+    ?(engine = Cv_verify.Containment.Ladder) ?domains (p : Problem.svudc) =
   match get_abstractions p with
   | None ->
     { Report.name = "prop2";
@@ -182,7 +183,7 @@ let enlargement_slabs ~old_box ~new_box =
   done;
   Array.of_list (List.rev !slabs)
 
-let delta_cover ?deadline ?(engine = Cv_verify.Containment.Milp) ?domains
+let delta_cover ?deadline ?(engine = Cv_verify.Containment.Ladder) ?domains
     (p : Problem.svudc) =
   let old_prop = old_property p in
   let old_din = old_prop.Cv_verify.Property.din in

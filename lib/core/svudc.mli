@@ -5,7 +5,8 @@
     over-approximate), so failed routes come back [Inconclusive] and the
     strategy moves on. The one exception is {!delta_cover}, whose
     subproblems check the target property directly and can therefore
-    return a definitive [Unsafe] witness. *)
+    return a definitive [Unsafe] witness. Every [?engine] defaults to
+    {!Cv_verify.Containment.Ladder}. *)
 
 (** [trivial p] — the degenerate shortcut: if the "enlarged" domain is
     in fact contained in the proved [D_in], the old proof applies
@@ -14,7 +15,8 @@ val trivial : Problem.svudc -> Report.attempt
 
 (** [prop1 ?engine p] — proof reuse at layers 1 and 2 (Proposition 1):
     check [∀x ∈ D_in ∪ Δ_in, g₂(g₁(x)) ∈ S₂] on the two-layer prefix
-    with an exact engine (default MILP). *)
+    with an exact engine (default {!Cv_verify.Containment.Ladder}:
+    symint first, cutoff MILP for the sides it leaves open). *)
 val prop1 :
   ?deadline:Cv_util.Deadline.t ->
   ?engine:Cv_verify.Containment.engine ->

@@ -11,7 +11,10 @@
       (ReluVal-style), complete for piecewise-linear slices up to the
       split budget;
     - [Milp]: the exact big-M encoding with per-output cutoff queries,
-      sound and complete for piecewise-linear slices.
+      sound and complete for piecewise-linear slices;
+    - [Ladder]: cost-ordered — the one-shot symint reach closes each
+      output side it can, and [Milp]'s sampler and cutoff queries run
+      for the remaining sides only. The default for every reuse route.
 
     Budget exhaustion never raises out of {!check}: a deadline expiring
     mid-query degrades the verdict to [Unknown { reason = Timeout; _ }],
@@ -21,12 +24,14 @@ type engine =
   | Abstract of Cv_domains.Analyzer.domain_kind
   | Symint_split of int  (** max number of box splits *)
   | Milp
+  | Ladder
 
 (** [engine_name e] is a printable engine label. *)
 let engine_name = function
   | Abstract k -> Cv_domains.Analyzer.domain_name k
   | Symint_split n -> Printf.sprintf "symint-split(%d)" n
   | Milp -> "milp"
+  | Ladder -> "ladder"
 
 (** Why an engine answered [Unknown]. *)
 type unknown_reason = Imprecise | Budget | Timeout | Numerical | Crash
@@ -113,8 +118,10 @@ let check_split ?deadline budget net ~input_box ~target =
   | None -> go input_box
 
 (* Exact MILP check: per output coordinate, bound max and min with
-   cutoff queries. *)
-let check_milp ?deadline ?domains net ~input_box ~target =
+   cutoff queries. [closed i] marks the (upper, lower) sides of output
+   [i] that are already decided and get no query. *)
+let check_milp ?deadline ?domains ?(closed = fun _ -> (false, false)) net
+    ~input_box ~target =
   let enc = Cv_milp.Relu_encoding.encode ~net ~input_box in
   let out_dim = Cv_nn.Network.out_dim net in
   if Cv_interval.Box.dim target <> out_dim then
@@ -125,8 +132,9 @@ let check_milp ?deadline ?domains net ~input_box ~target =
     else begin
       let iv = Cv_interval.Box.get target i in
       let hi = Cv_interval.Interval.hi iv and lo = Cv_interval.Interval.lo iv in
+      let upper_closed, lower_closed = closed i in
       let upper_ok =
-        if hi = Float.infinity then Proved
+        if hi = Float.infinity || upper_closed then Proved
         else
           match
             Cv_milp.Relu_encoding.max_output ?deadline ?domains enc ~output:i
@@ -152,7 +160,7 @@ let check_milp ?deadline ?domains net ~input_box ~target =
       match upper_ok with
       | Proved -> (
         let lower_ok =
-          if lo = Float.neg_infinity then Proved
+          if lo = Float.neg_infinity || lower_closed then Proved
           else
             match
               Cv_milp.Relu_encoding.min_output ?deadline ?domains enc ~output:i
@@ -187,14 +195,53 @@ let check_milp ?deadline ?domains net ~input_box ~target =
   | Some v -> Violated v
   | None -> per_output 0
 
-(** [check ?deadline engine net ~input_box ~target] decides (or
-    attempts) [∀x ∈ input_box : net(x) ∈ target]. Deadline expiry
-    degrades to [Unknown {reason = Timeout; _}] instead of raising. *)
+let m_ladder_closed = Cv_util.Metrics.counter "verify.ladder.closed"
+
+let m_ladder_open = Cv_util.Metrics.counter "verify.ladder.open"
+
+(* Cost-ordered check: the slice's one-shot symint reach closes an
+   output side only when it lies inside the target bound with no
+   tolerance; the sides it leaves open go to [check_milp], whose
+   sampler and cutoff queries then run unchanged. Symint is sound, so a
+   closed side is one the MILP would have proved. *)
+let check_ladder ?deadline ?domains net ~input_box ~target =
+  let out_dim = Cv_nn.Network.out_dim net in
+  if Cv_interval.Box.dim target <> out_dim then
+    invalid_arg "Containment.check_ladder: target dimension";
+  let reach =
+    Cv_domains.Analyzer.output_box ?deadline Cv_domains.Analyzer.Symint net
+      input_box
+  in
+  let closed =
+    Array.init out_dim (fun i ->
+        let r = Cv_interval.Box.get reach i
+        and t = Cv_interval.Box.get target i in
+        ( Cv_interval.Interval.hi r <= Cv_interval.Interval.hi t,
+          Cv_interval.Interval.lo r >= Cv_interval.Interval.lo t ))
+  in
+  let n_closed =
+    Array.fold_left
+      (fun n (u, l) -> n + Bool.to_int u + Bool.to_int l)
+      0 closed
+  in
+  let n_open = (2 * out_dim) - n_closed in
+  Cv_util.Metrics.add m_ladder_closed n_closed;
+  Cv_util.Metrics.add m_ladder_open n_open;
+  Cv_util.Trace.add_attr "ladder.closed" (string_of_int n_closed);
+  Cv_util.Trace.add_attr "ladder.open" (string_of_int n_open);
+  if n_open = 0 then Proved
+  else
+    check_milp ?deadline ?domains ~closed:(Array.get closed) net ~input_box
+      ~target
+
 let verdict_label = function
   | Proved -> "proved"
   | Violated _ -> "violated"
   | Unknown u -> "unknown:" ^ reason_name u.reason
 
+(** [check ?deadline engine net ~input_box ~target] decides (or
+    attempts) [∀x ∈ input_box : net(x) ∈ target]. Deadline expiry
+    degrades to [Unknown {reason = Timeout; _}] instead of raising. *)
 let check ?deadline ?domains engine net ~input_box ~target =
   Cv_util.Metrics.incr m_checks;
   Cv_util.Trace.with_span "containment.check"
@@ -221,6 +268,7 @@ let check ?deadline ?domains engine net ~input_box ~target =
           | Symint_split budget ->
             check_split ?deadline budget net ~input_box ~target
           | Milp -> check_milp ?deadline ?domains net ~input_box ~target
+          | Ladder -> check_ladder ?deadline ?domains net ~input_box ~target
         with Cv_util.Deadline.Expired msg -> unknown Timeout msg)
   in
   Cv_util.Trace.add_attr "verdict" (verdict_label v);

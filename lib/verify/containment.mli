@@ -13,6 +13,14 @@ type engine =
           the payload caps the number of splits *)
   | Milp  (** exact big-M encoding with cutoff queries; complete for
               piecewise-linear slices *)
+  | Ladder
+      (** cost-ordered [Milp]: the slice's one-shot symint reach closes
+          every output side whose bound lies inside the target's with no
+          tolerance (no sampling, no encoding when all close); [Milp]'s
+          sampler and cutoff queries then run, in the same order, for
+          the open sides only. Counts [verify.ladder.closed] and
+          [verify.ladder.open]. Same verdicts and witnesses as [Milp]
+          up to float rounding; the default for every reuse route *)
 
 (** [engine_name e] is a printable engine label. *)
 val engine_name : engine -> string

@@ -16,10 +16,30 @@ let random_net seed dims =
   Cv_nn.Network.random ~rng:(Cv_util.Rng.create seed) ~dims
     ~act:Cv_nn.Activation.Relu ()
 
+(* A two-output variant of [fig2_net]. *)
+let lowers_once_net () =
+  Cv_nn.Network.of_list
+    [ Cv_nn.Layer.make
+        (Cv_linalg.Mat.of_rows [ [| 1.; -2. |]; [| -2.; 1. |]; [| 1.; -1. |] ])
+        [| 0.; 0.; 0. |] Cv_nn.Activation.Relu;
+      Cv_nn.Layer.make
+        (Cv_linalg.Mat.of_rows [ [| 2.; 2.; -1. |]; [| 1.; -1.; 2. |] ])
+        [| 0.; 0.5 |] Cv_nn.Activation.Relu ]
+
+(* The exact output range of [net] over [input_box], widened by 0.25. *)
+let widened_range net input_box =
+  let range =
+    (Cv_verify.Range.exact_range net ~din:input_box).Cv_verify.Range.range
+  in
+  Cv_interval.Box.of_bounds
+    (Array.map (fun l -> l -. 0.25) (Cv_interval.Box.lower range))
+    (Array.map (fun u -> u +. 0.25) (Cv_interval.Box.upper range))
+
 let engines =
   [ Cv_verify.Containment.Abstract Cv_domains.Analyzer.Symint;
     Cv_verify.Containment.Symint_split 64;
-    Cv_verify.Containment.Milp ]
+    Cv_verify.Containment.Milp;
+    Cv_verify.Containment.Ladder ]
 
 (* ------------------------------------------------------------------ *)
 (* Property                                                            *)
@@ -186,6 +206,190 @@ let engines_agree_prop =
         true (* budget exhaustion is allowed, disagreement is not *)
       | _ -> false)
 
+let counter name = Cv_util.Metrics.value (Cv_util.Metrics.counter name)
+
+(* Target box around the sampled reach of each output, scaled by that
+   output's margin (the recipe of [engines_agree_prop], per output). *)
+let sampled_target ~seed net input_box margins =
+  let rng = Cv_util.Rng.create (seed + 1) in
+  let d = Cv_nn.Network.out_dim net in
+  let lo = Array.make d Float.infinity and hi = Array.make d Float.neg_infinity in
+  for _ = 1 to 200 do
+    let y = Cv_nn.Network.eval net (Cv_interval.Box.sample rng input_box) in
+    Array.iteri
+      (fun i v ->
+        lo.(i) <- Float.min lo.(i) v;
+        hi.(i) <- Float.max hi.(i) v)
+      y
+  done;
+  let bound sign i m =
+    let c = 0.5 *. (lo.(i) +. hi.(i)) and r = 0.5 *. (hi.(i) -. lo.(i)) in
+    c +. (sign *. ((r *. m) +. 1e-6))
+  in
+  Cv_interval.Box.of_bounds
+    (Array.mapi (bound (-1.)) margins)
+    (Array.mapi (bound 1.) margins)
+
+(* The ladder only skips sides symint closes, so it must answer what
+   [Milp] answers. A sampled witness comes from the same sampler, so it
+   is the same input. A cutoff search restarts from the root basis the
+   previous query left, and a skipped query leaves another one: on a
+   degenerate relaxation the search can then end elsewhere (over 20 000
+   random cases, 16 of 177 MILP-found witnesses moved by ulps and one
+   was another genuine violation). *)
+let ladder_matches_milp_prop =
+  QCheck.Test.make ~name:"ladder and milp agree on random containments"
+    ~count:30
+    QCheck.(
+      triple (int_range 1 1000) (float_range 0.3 3.) (float_range 0.3 3.))
+    (fun (seed, m0, m1) ->
+      let net = random_net seed [ 2; 5; 4; 2 ] in
+      let input_box = Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1. in
+      let target = sampled_target ~seed net input_box [| m0; m1 |] in
+      let check e = Cv_verify.Containment.check e net ~input_box ~target in
+      let hits0 = counter "verify.falsify.hits" in
+      let vm = check Cv_verify.Containment.Milp in
+      let sampled = counter "verify.falsify.hits" > hits0 in
+      (* An LP vertex may sit a few ulps outside the box. *)
+      let genuine (v : Cv_verify.Falsify.violation) =
+        v.Cv_verify.Falsify.margin > 0.
+        && Cv_interval.Box.mem_tol ~tol:1e-9 v.Cv_verify.Falsify.input
+             input_box
+      in
+      match (vm, check Cv_verify.Containment.Ladder) with
+      | Cv_verify.Containment.Proved, Cv_verify.Containment.Proved -> true
+      | Cv_verify.Containment.Violated a, Cv_verify.Containment.Violated b ->
+        let same = a.Cv_verify.Falsify.input = b.Cv_verify.Falsify.input in
+        genuine a && genuine b && ((not sampled) || same)
+      | Cv_verify.Containment.Unknown _, Cv_verify.Containment.Unknown _ ->
+        true
+      | _ -> false)
+
+(* [effort engine net ~input_box ~target] checks and returns the verdict
+   with the deltas of the ladder and solver counters it moved. *)
+let effort engine net ~input_box ~target =
+  let names =
+    [ "verify.ladder.closed"; "verify.ladder.open"; "milp.solves";
+      "verify.falsify.samples" ]
+  in
+  let before = List.map counter names in
+  let v = Cv_verify.Containment.check engine net ~input_box ~target in
+  (v, List.map2 (fun n b -> (n, counter n - b)) names before)
+
+(* Which sides the symint bound closes, and what the cutoff MILP still
+   pays for the rest, against the pure-MILP engine. *)
+let test_ladder_counts () =
+  let fig2 = fig2_net () in
+  let case what net ~input_box ~target ~closed ~open_ ~ladder ~milp =
+    let run engine expected =
+      match effort engine net ~input_box ~target with
+      | Cv_verify.Containment.Proved, got ->
+        List.iter
+          (fun (n, want) ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s [%s] %s" what
+                 (Cv_verify.Containment.engine_name engine)
+                 n)
+              want (List.assoc n got))
+          expected
+      | _ -> Alcotest.failf "%s: expected a proof" what
+    in
+    run Cv_verify.Containment.Ladder
+      ([ ("verify.ladder.closed", closed); ("verify.ladder.open", open_);
+         ("milp.solves", ladder) ]
+      @ if open_ = 0 then [ ("verify.falsify.samples", 0) ] else []);
+    run Cv_verify.Containment.Milp
+      [ ("verify.ladder.closed", 0); ("verify.ladder.open", 0);
+        ("milp.solves", milp) ]
+  in
+  (* Loose target: symint closes both sides; nothing is sampled or
+     solved. *)
+  case "loose" fig2
+    ~input_box:(Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1.)
+    ~target:(Cv_interval.Box.of_bounds [| -1. |] [| 12.5 |])
+    ~closed:2 ~open_:0 ~ladder:0 ~milp:2;
+  (* Fig. 2's tight 6.3 bound over the enlarged box: symint closes only
+     the lower side. *)
+  case "fig2 enlarged" fig2
+    ~input_box:(Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1.1)
+    ~target:(Cv_interval.Box.of_bounds [| -0.1 |] [| 6.3 |])
+    ~closed:1 ~open_:1 ~ladder:1 ~milp:2;
+  let net = lowers_once_net () in
+  let input_box = Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1. in
+  case "two outputs" net ~input_box ~target:(widened_range net input_box)
+    ~closed:3 ~open_:1 ~ladder:1 ~milp:4;
+  (* No tolerance: a bound equal to symint's closes, one ulp inside it
+     does not. *)
+  let reach =
+    Cv_domains.Analyzer.output_box Cv_domains.Analyzer.Symint fig2 input_box
+  in
+  let lo = Cv_interval.Box.lower reach and hi = Cv_interval.Box.upper reach in
+  case "symint bound" fig2 ~input_box
+    ~target:(Cv_interval.Box.of_bounds lo hi)
+    ~closed:2 ~open_:0 ~ladder:0 ~milp:2;
+  case "one ulp inside" fig2 ~input_box
+    ~target:(Cv_interval.Box.of_bounds lo (Array.map Float.pred hi))
+    ~closed:1 ~open_:1 ~ladder:1 ~milp:2
+
+(* The containment.check span records which engine closed each side. *)
+let test_ladder_span_attrs () =
+  Cv_util.Trace.enable ();
+  ignore
+    (Cv_verify.Containment.check Cv_verify.Containment.Ladder (fig2_net ())
+       ~input_box:(Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1.1)
+       ~target:(Cv_interval.Box.of_bounds [| -0.1 |] [| 6.3 |]));
+  Cv_util.Trace.disable ();
+  let open Cv_util.Json in
+  match to_list (member "trace" (Cv_util.Trace.to_json ())) with
+  | [ span ] ->
+    let attrs = member "attrs" span in
+    List.iter
+      (fun (k, v) -> Alcotest.(check string) k v (to_str (member k attrs)))
+      [ ("engine", "ladder"); ("ladder.closed", "1"); ("ladder.open", "1");
+        ("verdict", "proved") ]
+  | spans -> Alcotest.failf "expected one span, got %d" (List.length spans)
+
+(* A sigmoid slice has no MILP encoding; when symint closes every side
+   the ladder never needs one. *)
+let test_ladder_sigmoid_closed () =
+  let net =
+    Cv_nn.Network.of_list
+      [ Cv_nn.Layer.make
+          (Cv_linalg.Mat.of_rows [ [| 1.; -2. |]; [| -2.; 1. |] ])
+          [| 0.; 0.5 |] Cv_nn.Activation.Relu;
+        Cv_nn.Layer.make
+          (Cv_linalg.Mat.of_rows [ [| 0.5; -1. |] ])
+          [| 0. |] Cv_nn.Activation.Sigmoid ]
+  in
+  let input_box = Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1. in
+  let target = Cv_interval.Box.of_bounds [| -0.5 |] [| 1.5 |] in
+  (match
+     Cv_verify.Containment.check Cv_verify.Containment.Ladder net ~input_box
+       ~target
+   with
+  | Cv_verify.Containment.Proved -> ()
+  | _ -> Alcotest.fail "symint closes both sides of a sigmoid output");
+  match
+    Cv_verify.Containment.check Cv_verify.Containment.Milp net ~input_box
+      ~target
+  with
+  | _ -> Alcotest.fail "milp has no sigmoid encoding"
+  | exception Invalid_argument _ -> ()
+
+let test_ladder_expired_deadline () =
+  let net = fig2_net () in
+  let input_box = Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1. in
+  let target = Cv_interval.Box.of_bounds [| -1. |] [| 12.5 |] in
+  match
+    Cv_verify.Containment.check
+      ~deadline:(Cv_util.Deadline.make ~seconds:(-1.))
+      Cv_verify.Containment.Ladder net ~input_box ~target
+  with
+  | Cv_verify.Containment.Unknown { reason = Cv_verify.Containment.Timeout; _ }
+    ->
+    ()
+  | _ -> Alcotest.fail "an expired deadline must give Unknown (timeout)"
+
 (* ------------------------------------------------------------------ *)
 (* Verifier + Range                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -262,23 +466,9 @@ let test_spike_at_seed_violates () =
 (* Every bound query of one containment check shares one lowering: the
    2·d queries cold-solve once, then restart from the root state. *)
 let test_containment_lowers_once () =
-  let net =
-    Cv_nn.Network.of_list
-      [ Cv_nn.Layer.make
-          (Cv_linalg.Mat.of_rows [ [| 1.; -2. |]; [| -2.; 1. |]; [| 1.; -1. |] ])
-          [| 0.; 0.; 0. |] Cv_nn.Activation.Relu;
-        Cv_nn.Layer.make
-          (Cv_linalg.Mat.of_rows [ [| 2.; 2.; -1. |]; [| 1.; -1.; 2. |] ])
-          [| 0.; 0.5 |] Cv_nn.Activation.Relu ]
-  in
+  let net = lowers_once_net () in
   let input_box = Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1. in
-  let range = (Cv_verify.Range.exact_range net ~din:input_box).Cv_verify.Range.range in
-  let target =
-    Cv_interval.Box.of_bounds
-      (Array.map (fun l -> l -. 0.25) (Cv_interval.Box.lower range))
-      (Array.map (fun u -> u +. 0.25) (Cv_interval.Box.upper range))
-  in
-  let counter name = Cv_util.Metrics.value (Cv_util.Metrics.counter name) in
+  let target = widened_range net input_box in
   let misses0 = counter "lp.warmstart.misses" in
   let solves0 = counter "milp.solves" in
   (match
@@ -386,7 +576,15 @@ let () =
         @ [ Alcotest.test_case "exact beats abstract (fig 1/2)" `Quick
               test_exact_beats_abstract;
             Alcotest.test_case "split refines" `Quick test_split_engine_refines;
-            QCheck_alcotest.to_alcotest engines_agree_prop ] );
+            QCheck_alcotest.to_alcotest engines_agree_prop;
+            QCheck_alcotest.to_alcotest ladder_matches_milp_prop;
+            Alcotest.test_case "ladder counts" `Quick test_ladder_counts;
+            Alcotest.test_case "ladder span attrs" `Quick
+              test_ladder_span_attrs;
+            Alcotest.test_case "ladder closes a sigmoid slice" `Quick
+              test_ladder_sigmoid_closed;
+            Alcotest.test_case "ladder expired deadline" `Quick
+              test_ladder_expired_deadline ] );
       ( "backward",
         [ Alcotest.test_case "proves loose" `Quick test_backward_proves_loose;
           Alcotest.test_case "suspects cover violators" `Quick
