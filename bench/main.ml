@@ -1,24 +1,26 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
+(* Paper report: regenerates every table and figure of the paper's
    evaluation on the synthetic platform, followed by the ablation
-   studies called out in DESIGN.md and a Bechamel micro-benchmark suite.
+   studies called out in DESIGN.md. EXPERIMENTS.md quotes its output;
+   speed claims live in perfbench and BENCHMARK.json.
 
    Run with: dune exec bench/main.exe
-   (append "--quick" to shrink the Table I statistics for smoke runs)
+   (append "--quick" to time each Table I solve once and run one
+   split-certificate case, for smoke runs)
 
    Sections:
      [Table I]  incremental vs original verification time, 4 cases
+     [Table I]  the same ratio with split certificates on both sides
      [Fig 1]    abstract-vs-exact reach on the enlarged domain
      [Fig 2]    the worked MILP example (expects 6.2 / 12 / 12.4)
      [Fig 3]    waypoints of the DNN on the race track (ASCII + series)
      [Fig 4]    architecture of the verified network
      [Ablation] domains, engines, Lipschitz estimators, parallelism,
-                proposition firing order
-     [Micro]    Bechamel Test.make per core operation *)
+                proposition firing order *)
 
 let quick = Array.exists (fun a -> a = "--quick") Sys.argv
 
-(* Arm CONTIVER_FAULTS so the CI chaos matrix can run the whole bench
-   under injected solver faults and diff the verdicts. *)
+(* Arm CONTIVER_FAULTS so the CI chaos matrix can run the whole report
+   under injected solver faults and catch crashes. *)
 let () = Cv_util.Fault.init_from_env ()
 
 let banner title =
@@ -171,422 +173,6 @@ let table1_splitcert () =
     "(the revalidation IS the paper's 'set the bounds and check for violations';\n\
     \ under equal engines the saving comes from skipping the split search —\n\
     \ the dramatic Table-I ratios above additionally change engine class)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Machine-readable perf trajectory                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* One-shot vs SVuDC vs SVbTV wall-clock per case, with the headline
-   effort counters of each phase (Cv_util.Metrics snapshot, now
-   including the lp.warmstart.* and lp.phase1.skipped counters), written
-   to BENCH_PR4.json in the working directory. CI runs the quick
-   variant, validates the JSON, compares its verdicts against the
-   committed BENCH_PR3.json baseline and archives it, so perf
-   regressions leave a comparable artifact per commit. *)
-let bench_trajectory () =
-  (* BENCH_OUT lets CI write side-by-side trajectories (e.g. one per
-     chaos-campaign fault spec) without clobbering the committed
-     baseline. *)
-  let out_path =
-    match Sys.getenv_opt "BENCH_OUT" with
-    | Some p when p <> "" -> p
-    | _ -> "BENCH_PR4.json"
-  in
-  banner (Printf.sprintf "Perf trajectory (%s)" out_path);
-  let exp = Lazy.force exp in
-  let heads = exp.Cv_vehicle.Pipeline.heads in
-  let prop = Cv_vehicle.Pipeline.property exp in
-  let new_din = exp.Cv_vehicle.Pipeline.enlarged_din in
-  let phase f =
-    Cv_util.Metrics.reset ();
-    let result, seconds = Cv_util.Timer.time f in
-    (result, seconds, Cv_util.Metrics.to_json ())
-  in
-  let report_verdict (r : Cv_core.Report.t) =
-    match r.Cv_core.Report.verdict with
-    | Cv_core.Report.Safe -> "safe"
-    | Cv_core.Report.Unsafe _ -> "unsafe"
-    | Cv_core.Report.Inconclusive _ -> "inconclusive"
-    | Cv_core.Report.Exhausted _ -> "exhausted"
-  in
-  let entry ~seconds ~verdict ~metrics =
-    Cv_util.Json.Obj
-      [ ("seconds", Cv_util.Json.Num seconds);
-        ("verdict", Cv_util.Json.Str verdict);
-        ("metrics", metrics) ]
-  in
-  let cases = if quick then 1 else Array.length heads - 1 in
-  let case_rows =
-    List.init cases (fun i ->
-        let case = i + 1 in
-        let old_net = heads.(case - 1) and new_net = heads.(case) in
-        let original, orig_t, orig_m =
-          phase (fun () -> Cv_core.Strategy.solve_original_exact old_net prop)
-        in
-        let artifact =
-          { original.Cv_core.Strategy.artifact with
-            Cv_artifacts.Artifacts.solve_seconds = orig_t }
-        in
-        let svudc_report, svudc_t, svudc_m =
-          phase (fun () ->
-              Cv_core.Strategy.solve_svudc
-                (Cv_core.Problem.svudc ~net:old_net ~artifact ~new_din))
-        in
-        let svbtv_report, svbtv_t, svbtv_m =
-          phase (fun () ->
-              Cv_core.Strategy.solve_svbtv
-                (Cv_core.Problem.svbtv ~old_net ~new_net ~artifact ~new_din))
-        in
-        Printf.printf
-          "case %d: original %.3fs, svudc %.4fs (%s), svbtv %.4fs (%s)\n" case
-          orig_t svudc_t
-          (report_verdict svudc_report)
-          svbtv_t
-          (report_verdict svbtv_report);
-        Cv_util.Json.Obj
-          [ ("case", Cv_util.Json.Num (float_of_int case));
-            ( "original",
-              entry ~seconds:orig_t
-                ~verdict:
-                  (if original.Cv_core.Strategy.proved then "safe"
-                   else "not-proved")
-                ~metrics:orig_m );
-            ( "svudc",
-              entry ~seconds:svudc_t
-                ~verdict:(report_verdict svudc_report)
-                ~metrics:svudc_m );
-            ( "svbtv",
-              entry ~seconds:svbtv_t
-                ~verdict:(report_verdict svbtv_report)
-                ~metrics:svbtv_m ) ])
-  in
-  let json =
-    Cv_util.Json.Obj
-      [ ("schema", Cv_util.Json.Str "contiver-bench-pr4-v1");
-        ("quick", Cv_util.Json.Bool quick);
-        ("cases", Cv_util.Json.List case_rows) ]
-  in
-  let path = out_path in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Cv_util.Json.to_string json));
-  Printf.printf "trajectory written to %s\n" path
-
-(* ------------------------------------------------------------------ *)
-(* Batch throughput                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The PR 7 headline: N queries sharing one network through the batch
-   scheduler (content-addressed artifact cache + worker pool) against N
-   cold one-shot invocations. The abstract chain is built once and hit
-   N-1 times, so the batch wall-clock must land strictly below the
-   summed one-shot baseline. Written to BENCH_PR7.json; CI validates
-   the schema, the verdict agreement and the speedup, then archives
-   it. *)
-let bench_batch () =
-  let out_path =
-    match Sys.getenv_opt "BENCH_PR7_OUT" with
-    | Some p when p <> "" -> p
-    | _ -> "BENCH_PR7.json"
-  in
-  banner (Printf.sprintf "Batch throughput (%s)" out_path);
-  (* The paper's continuous-verification scenario: every CI run
-     re-checks many output properties of the same deployed network.
-     The head is wide enough that one symbolic-interval chain build
-     dominates per-query overhead by orders of magnitude. *)
-  let rng = Cv_util.Rng.create 11 in
-  let net =
-    Cv_nn.Network.random ~rng ~dims:[ 32; 256; 256; 256; 1 ]
-      ~act:Cv_nn.Activation.Relu ()
-  in
-  let din = Cv_interval.Box.uniform 32 ~lo:(-1.) ~hi:1. in
-  let chain =
-    Cv_domains.Analyzer.abstractions Cv_domains.Analyzer.Symint net din
-  in
-  let last = chain.(Array.length chain - 1) in
-  let env_int name default =
-    match Sys.getenv_opt name with
-    | Some s -> (try int_of_string s with _ -> default)
-    | _ -> default
-  in
-  let queries = env_int "BENCH_PR7_QUERIES" 8 in
-  let workers = env_int "BENCH_PR7_WORKERS" 4 in
-  (* Distinct provable properties over one (net, D_in): each widens the
-     chain's own output box by a different margin, so every query is
-     decided by the cached abstraction and only the first pays for the
-     build. *)
-  let jobs =
-    List.init queries (fun i ->
-        let dout =
-          Cv_interval.Box.expand (0.05 +. (0.01 *. float_of_int i)) last
-        in
-        let prop = Cv_verify.Property.make ~din ~dout in
-        { Cv_core.Batch.id = Printf.sprintf "q%d" (i + 1);
-          spec =
-            Cv_core.Batch.Verify
-              { net; prop; exact = false; artifact_out = None };
-          timeout = None })
-  in
-  let verdicts t =
-    List.map
-      (fun (r : Cv_core.Batch.job_result) ->
-        Cv_core.Batch.verdict_name r.Cv_core.Batch.verdict)
-      t.Cv_core.Batch.results
-  in
-  (* Cold baseline: every query is its own batch of one, no cache. *)
-  let one_shot =
-    List.map
-      (fun job ->
-        let t = Cv_core.Batch.run ~config:Cv_core.Batch.default_config [ job ] in
-        (List.hd (verdicts t), t.Cv_core.Batch.wall_seconds))
-      jobs
-  in
-  let one_shot_seconds = List.fold_left (fun a (_, s) -> a +. s) 0. one_shot in
-  let cache = Cv_artifacts.Cache.create () in
-  let config =
-    { Cv_core.Batch.default_config with
-      Cv_core.Batch.jobs = workers;
-      cache = Some cache }
-  in
-  let batch = Cv_core.Batch.run ~config jobs in
-  let stats =
-    match batch.Cv_core.Batch.cache_stats with
-    | Some s -> s
-    | None -> { Cv_artifacts.Cache.hits = 0; misses = 0; evictions = 0 }
-  in
-  let verdicts_match =
-    List.equal String.equal (List.map fst one_shot) (verdicts batch)
-  in
-  let speedup =
-    one_shot_seconds /. Float.max 1e-9 batch.Cv_core.Batch.wall_seconds
-  in
-  Printf.printf
-    "%d queries, %d workers: one-shot sum %.4fs, batch %.4fs (%.1fx)\n\
-     cache: %d hits, %d misses; verdicts %s\n"
-    queries workers one_shot_seconds batch.Cv_core.Batch.wall_seconds speedup
-    stats.Cv_artifacts.Cache.hits stats.Cv_artifacts.Cache.misses
-    (if verdicts_match then "match" else "DIVERGE");
-  let json =
-    Cv_util.Json.Obj
-      [ ("schema", Cv_util.Json.Str "contiver-bench-pr7-v1");
-        ("quick", Cv_util.Json.Bool quick);
-        ("queries", Cv_util.Json.of_int queries);
-        ("jobs", Cv_util.Json.of_int workers);
-        ("one_shot_seconds", Cv_util.Json.Num one_shot_seconds);
-        ("batch_seconds", Cv_util.Json.Num batch.Cv_core.Batch.wall_seconds);
-        ("speedup", Cv_util.Json.Num speedup);
-        ("cache", Cv_artifacts.Cache.stats_to_json stats);
-        ( "verdicts",
-          Cv_util.Json.List
-            (List.map (fun v -> Cv_util.Json.Str v) (verdicts batch)) );
-        ("verdicts_match", Cv_util.Json.Bool verdicts_match) ]
-  in
-  let oc = open_out out_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Cv_util.Json.to_string json));
-  Printf.printf "batch throughput written to %s\n" out_path
-
-(* ------------------------------------------------------------------ *)
-(* PR 9: blocked-kernel propagation throughput. Each abstract domain is
-   raced against the verbatim historical implementation in [Baseline]
-   (per-call sign splits, per-neuron records, per-generator matvecs) on
-   the fig2 toy net and a 32x256^3x1 head. Reaches must agree within
-   the verdict tolerance, the committed artifact carries the speedups
-   and a steady-state allocation figure, and the PR 7 batch verdicts
-   are echoed so CI can prove the kernels changed no decision. *)
-
-let bench_kernels () =
-  let out_path =
-    match Sys.getenv_opt "BENCH_PR9_OUT" with
-    | Some p when p <> "" -> p
-    | _ -> "BENCH_PR9.json"
-  in
-  banner (Printf.sprintf "Kernel throughput (%s)" out_path);
-  let fig2_net =
-    Cv_nn.Network.of_list
-      [ Cv_nn.Layer.make
-          (Cv_linalg.Mat.of_rows [ [| 1.; -2. |]; [| -2.; 1. |]; [| 1.; -1. |] ])
-          [| 0.; 0.; 0. |] Cv_nn.Activation.Relu;
-        Cv_nn.Layer.make
-          (Cv_linalg.Mat.of_rows [ [| 2.; 2.; -1. |] ])
-          [| 0. |] Cv_nn.Activation.Relu ]
-  in
-  let fig2_din = Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1. in
-  let big_net =
-    Cv_nn.Network.random ~rng:(Cv_util.Rng.create 11)
-      ~dims:[ 32; 256; 256; 256; 1 ] ~act:Cv_nn.Activation.Relu ()
-  in
-  let big_din = Cv_interval.Box.uniform 32 ~lo:(-1.) ~hi:1. in
-  let domains =
-    [ ("box",
-       (module Cv_domains.Box_domain : Cv_domains.Transformer.DOMAIN),
-       Baseline.box_output);
-      ("symint",
-       (module Cv_domains.Symint : Cv_domains.Transformer.DOMAIN),
-       Baseline.symint_output);
-      ("zonotope",
-       (module Cv_domains.Zonotope : Cv_domains.Transformer.DOMAIN),
-       Baseline.zonotope_output);
-      ("deeppoly",
-       (module Cv_domains.Deeppoly : Cv_domains.Transformer.DOMAIN),
-       Baseline.deeppoly_output) ]
-  in
-  (* Propagation through the prepared (memoized) layers — the steady
-     state every verify/svudc/svbtv/batch call runs in after the first
-     query on a network. *)
-  let new_runner (module D : Cv_domains.Transformer.DOMAIN) net =
-    let prep = Cv_nn.Network.prepared net in
-    fun din ->
-      D.to_box
-        (Array.fold_left (fun a p -> D.apply_prepared p a) (D.of_box din) prep)
-  in
-  (* Min-over-rounds of (wall seconds / iters): robust against noise
-     from the shared CI runner, deterministic in everything else. *)
-  let time_min ~rounds ~iters f =
-    let best = ref infinity in
-    for _ = 1 to rounds do
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to iters do
-        f ()
-      done;
-      let dt = (Unix.gettimeofday () -. t0) /. float_of_int iters in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let rounds = if quick then 2 else 4 in
-  let nets =
-    [ ("fig2", fig2_net, fig2_din, if quick then 100 else 400);
-      ("net32x256x3", big_net, big_din, if quick then 1 else 3) ]
-  in
-  let rows = ref [] in
-  List.iter
-    (fun (net_name, net, din, iters) ->
-      let blayers = Baseline.of_network net in
-      let layer_count = Array.length (Cv_nn.Network.layers net) in
-      List.iter
-        (fun (dom_name, dom, old_output) ->
-          let new_output = new_runner dom net in
-          let new_reach = new_output din in
-          let old_reach = old_output blayers din in
-          let reach_match =
-            Cv_interval.Box.subset_tol ~tol:1e-6 new_reach old_reach
-            && Cv_interval.Box.subset_tol ~tol:1e-6 old_reach new_reach
-          in
-          (* Same decision the verifier would make: does the reach stay
-             inside a margin of the historical reach? *)
-          let dout = Cv_interval.Box.expand 0.05 old_reach in
-          let verdict_old = Cv_interval.Box.subset_tol old_reach dout in
-          let verdict_new = Cv_interval.Box.subset_tol new_reach dout in
-          let old_s =
-            time_min ~rounds ~iters (fun () -> ignore (old_output blayers din))
-          in
-          let new_s =
-            time_min ~rounds ~iters (fun () -> ignore (new_output din))
-          in
-          (* Steady-state allocation of one propagation through the new
-             kernels (after the warmup above has populated the prepared
-             memo and the workspace arenas). *)
-          let b0 = Gc.allocated_bytes () in
-          ignore (new_output din);
-          let bytes_per_round = Gc.allocated_bytes () -. b0 in
-          let speedup = old_s /. Float.max 1e-12 new_s in
-          Printf.printf
-            "%-14s %-9s old %.3es new %.3es (%5.2fx) %s %s %.0fB/round\n"
-            net_name dom_name old_s new_s speedup
-            (if reach_match then "reach=" else "reach DIVERGES")
-            (if verdict_old = verdict_new then "verdict=" else "verdict DIVERGES")
-            bytes_per_round;
-          rows :=
-            Cv_util.Json.Obj
-              [ ("net", Cv_util.Json.Str net_name);
-                ("domain", Cv_util.Json.Str dom_name);
-                ("old_seconds", Cv_util.Json.Num old_s);
-                ("new_seconds", Cv_util.Json.Num new_s);
-                ("speedup", Cv_util.Json.Num speedup);
-                ( "layers_per_second",
-                  Cv_util.Json.Num
-                    (float_of_int layer_count /. Float.max 1e-12 new_s) );
-                ("bytes_per_round", Cv_util.Json.Num bytes_per_round);
-                ("reach_match", Cv_util.Json.Bool reach_match);
-                ( "verdict",
-                  Cv_util.Json.Str (if verdict_new then "safe" else "unknown") );
-                ( "verdict_match",
-                  Cv_util.Json.Bool (verdict_old = verdict_new) ) ]
-            :: !rows)
-        domains)
-    nets;
-  (* Echo the PR 7 batch verdicts through the new kernels and diff them
-     against the committed artifact: the kernel rewrite must not move a
-     single decision. *)
-  let chain =
-    Cv_domains.Analyzer.abstractions Cv_domains.Analyzer.Symint big_net big_din
-  in
-  let last = chain.(Array.length chain - 1) in
-  let jobs =
-    List.init 8 (fun i ->
-        let dout =
-          Cv_interval.Box.expand (0.05 +. (0.01 *. float_of_int i)) last
-        in
-        let prop = Cv_verify.Property.make ~din:big_din ~dout in
-        { Cv_core.Batch.id = Printf.sprintf "q%d" (i + 1);
-          spec =
-            Cv_core.Batch.Verify
-              { net = big_net; prop; exact = false; artifact_out = None };
-          timeout = None })
-  in
-  let batch = Cv_core.Batch.run ~config:Cv_core.Batch.default_config jobs in
-  let batch_verdicts =
-    List.map
-      (fun (r : Cv_core.Batch.job_result) ->
-        Cv_core.Batch.verdict_name r.Cv_core.Batch.verdict)
-      batch.Cv_core.Batch.results
-  in
-  let pr7_path =
-    match Sys.getenv_opt "BENCH_PR7_BASELINE" with
-    | Some p when p <> "" -> p
-    | _ -> "BENCH_PR7.json"
-  in
-  let pr7_verdicts =
-    try
-      let ic = open_in pr7_path in
-      let s =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      Some
-        (List.map Cv_util.Json.to_str
-           (Cv_util.Json.to_list
-              (Cv_util.Json.member "verdicts" (Cv_util.Json.parse s))))
-    with _ -> None
-  in
-  let verdicts_match_pr7 =
-    match pr7_verdicts with
-    | Some vs -> List.equal String.equal vs batch_verdicts
-    | None -> true (* no committed baseline to compare against *)
-  in
-  Printf.printf "batch verdicts: %s (%s vs %s)\n"
-    (String.concat "," batch_verdicts)
-    (if verdicts_match_pr7 then "match" else "DIVERGE")
-    pr7_path;
-  let json =
-    Cv_util.Json.Obj
-      [ ("schema", Cv_util.Json.Str "contiver-bench-pr9-v1");
-        ("quick", Cv_util.Json.Bool quick);
-        ("domains", Cv_util.Json.List (List.rev !rows));
-        ( "batch_verdicts",
-          Cv_util.Json.List
-            (List.map (fun v -> Cv_util.Json.Str v) batch_verdicts) );
-        ("verdicts_match_pr7", Cv_util.Json.Bool verdicts_match_pr7) ]
-  in
-  let oc = open_out out_path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Cv_util.Json.to_string json));
-  Printf.printf "kernel throughput written to %s\n" out_path
 
 (* ------------------------------------------------------------------ *)
 (* Figure 1                                                            *)
@@ -928,126 +514,9 @@ let ablation_prop_order () =
     eps_diff eps_naive
     (eps_naive /. Float.max 1e-12 eps_diff)
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  banner "Micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let exp = Lazy.force exp in
-  let head = exp.Cv_vehicle.Pipeline.heads.(0) in
-  let din = exp.Cv_vehicle.Pipeline.din in
-  let new_din = exp.Cv_vehicle.Pipeline.enlarged_din in
-  let chain =
-    Cv_domains.Analyzer.abstractions ~widen:0.04 Cv_domains.Analyzer.Symint head
-      din
-  in
-  let prefix2 = Cv_nn.Network.prefix head 2 in
-  let x = Cv_interval.Box.center din in
-  let fig2_box = Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1.1 in
-  let fig2_net =
-    Cv_nn.Network.of_list
-      [ Cv_nn.Layer.make
-          (Cv_linalg.Mat.of_rows [ [| 1.; -2. |]; [| -2.; 1. |]; [| 1.; -1. |] ])
-          [| 0.; 0.; 0. |] Cv_nn.Activation.Relu;
-        Cv_nn.Layer.make
-          (Cv_linalg.Mat.of_rows [ [| 2.; 2.; -1. |] ])
-          [| 0. |] Cv_nn.Activation.Relu ]
-  in
-  let tests =
-    [ Test.make ~name:"nn-forward-pass"
-        (Staged.stage (fun () -> ignore (Cv_nn.Network.eval head x)));
-      Test.make ~name:"chain-box"
-        (Staged.stage (fun () ->
-             ignore
-               (Cv_domains.Analyzer.abstractions Cv_domains.Analyzer.Box head din)));
-      Test.make ~name:"chain-symint"
-        (Staged.stage (fun () ->
-             ignore
-               (Cv_domains.Analyzer.abstractions Cv_domains.Analyzer.Symint head
-                  din)));
-      Test.make ~name:"chain-zonotope"
-        (Staged.stage (fun () ->
-             ignore
-               (Cv_domains.Analyzer.abstractions Cv_domains.Analyzer.Zonotope
-                  head din)));
-      Test.make ~name:"chain-deeppoly"
-        (Staged.stage (fun () ->
-             ignore
-               (Cv_domains.Analyzer.abstractions Cv_domains.Analyzer.Deeppoly
-                  head din)));
-      Test.make ~name:"table1-prop1-milp"
-        (Staged.stage (fun () ->
-             ignore
-               (Cv_verify.Containment.check Cv_verify.Containment.Milp prefix2
-                  ~input_box:new_din ~target:chain.(1))));
-      Test.make ~name:"table1-prop4-layer"
-        (Staged.stage (fun () ->
-             let slice = Cv_nn.Network.slice head ~from_:1 ~to_:2 in
-             ignore
-               (Cv_verify.Containment.check Cv_verify.Containment.Milp slice
-                  ~input_box:chain.(0) ~target:chain.(1))));
-      Test.make ~name:"fig2-exact-milp"
-        (Staged.stage (fun () ->
-             let enc =
-               Cv_milp.Relu_encoding.encode ~net:fig2_net ~input_box:fig2_box
-             in
-             ignore (Cv_milp.Relu_encoding.max_output enc ~output:0)));
-      Test.make ~name:"lipschitz-global"
-        (Staged.stage (fun () ->
-             ignore
-               (Cv_lipschitz.Lipschitz.global ~norm:Cv_lipschitz.Lipschitz.Linf
-                  head)));
-      Test.make ~name:"monitor-observe"
-        (Staged.stage
-           (let m = Cv_monitor.Monitor.of_box din in
-            fun () -> ignore (Cv_monitor.Monitor.observe m x))) ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000
-      ~quota:(Time.second (if quick then 0.05 else 0.5))
-      ~kde:(Some 1000) ()
-  in
-  let raw = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"contiver" tests) in
-  let results = Analyze.all ols instance raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let ns =
-        match Analyze.OLS.estimates ols_result with
-        | Some [ est ] -> est
-        | Some (est :: _) -> est
-        | _ -> Float.nan
-      in
-      rows := (name, ns) :: !rows)
-    results;
-  Printf.printf "%-32s %14s\n" "benchmark" "ns/run";
-  List.iter
-    (fun (name, ns) -> Printf.printf "%-32s %14.1f\n" name ns)
-    (List.sort compare !rows)
-
 let () =
-  (* Regenerate just the batch-throughput figure (BENCH_PR7.json)
-     without paying for the full suite. *)
-  if Array.exists (fun a -> a = "--only-batch") Sys.argv then begin
-    bench_batch ();
-    exit 0
-  end;
-  (* Regenerate just the kernel-throughput figure (BENCH_PR9.json). *)
-  if Array.exists (fun a -> a = "--only-kernels") Sys.argv then begin
-    bench_kernels ();
-    exit 0
-  end;
   table1 ();
   table1_splitcert ();
-  bench_trajectory ();
-  bench_batch ();
-  bench_kernels ();
   fig1 ();
   fig2 ();
   fig3 ();
@@ -1057,5 +526,4 @@ let () =
   ablation_lipschitz ();
   ablation_parallel ();
   ablation_prop_order ();
-  micro ();
   print_newline ()

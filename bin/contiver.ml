@@ -24,6 +24,12 @@ exception Cli_error of string
 
 let cli_fail fmt = Printf.ksprintf (fun s -> raise (Cli_error s)) fmt
 
+(* A widening slack is an absolute per-neuron margin: negative, NaN or
+   infinite values are input errors, not something to clamp. *)
+let check_widen w =
+  if not (Float.is_finite w && w >= 0.) then
+    cli_fail "--widen %g: expected a finite slack >= 0" w
+
 (* Wrap a command body: its normal result is the exit code. Injected
    faults, budget expiry and malformed JSON that escape the library's
    own degradation layers are still rendered as one-line errors, never
@@ -414,6 +420,10 @@ let verify verbose model property artifact_out emit_cert exact widen timeout
     cli_fail
       "--checkpoint/--resume-checkpoint require --exact (only the exact \
        branch-and-bound search has resumable state)";
+  if widen <> None && not exact then
+    cli_fail "--widen requires --exact (only the exact solve records a \
+              widened chain)";
+  Option.iter check_widen widen;
   let checkpoint, resume =
     setup_checkpointing ~kind:Cv_core.Runstate.Verify
       ~fingerprint:(Cv_artifacts.Artifacts.fingerprint net)
@@ -425,7 +435,7 @@ let verify verbose model property artifact_out emit_cert exact widen timeout
   let deadline = deadline_of timeout in
   let original =
     if exact then
-      Cv_core.Strategy.solve_original_exact ?deadline ~widen ?checkpoint
+      Cv_core.Strategy.solve_original_exact ?deadline ?widen ?checkpoint
         ?resume net prop
     else Cv_core.Strategy.solve_original ?deadline net prop
   in
@@ -488,9 +498,12 @@ let verify_cmd =
   in
   let widen =
     Arg.(
-      value & opt float 0.02
+      value
+      & opt (some float) None
       & info [ "widen" ] ~docv:"W"
-          ~doc:"Widening slack on recorded state abstractions.")
+          ~doc:
+            "Widening slack on recorded state abstractions (requires \
+             --exact; default 0.02).")
   in
   Cmd.v
     (Cmd.info "verify"
@@ -1435,6 +1448,7 @@ let serve verbose model artifact_path artifact_out drive drive_steps drive_seed
     trace_json =
   run @@ fun () ->
   setup_logs verbose;
+  check_widen widen;
   with_observability ~stats ~trace_json @@ fun () ->
   let stop_requested = Atomic.make false in
   List.iter

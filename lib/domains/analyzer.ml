@@ -20,19 +20,19 @@
     Every entry point resolves the network's layers to their memoized
     kernel-ready form ({!Cv_nn.Network.prepared}) once and drives the
     domain through [apply_prepared], and accounts the bytes it allocated
-    under the [kernel.bytes_alloc] counter (a [Gc.allocated_bytes]
-    delta) — the regression guard for the allocation-free kernel
-    claim. *)
+    under the [kernel.bytes_alloc] counter (a
+    {!Cv_util.Metrics.allocated_bytes} delta) — the regression guard
+    for the allocation-free kernel claim. *)
 
 let m_bytes = Cv_util.Metrics.counter "kernel.bytes_alloc"
 
 (* Charge the bytes allocated by [f] (in this domain) to
    [kernel.bytes_alloc]. *)
 let with_alloc_gauge f =
-  let b0 = Gc.allocated_bytes () in
+  let b0 = Cv_util.Metrics.allocated_bytes () in
   Fun.protect
     ~finally:(fun () ->
-      let d = Gc.allocated_bytes () -. b0 in
+      let d = Cv_util.Metrics.allocated_bytes () -. b0 in
       if d > 0. then Cv_util.Metrics.add m_bytes (int_of_float d))
     f
 
@@ -53,8 +53,10 @@ module Make (D : Transformer.DOMAIN) = struct
       inductive — the image is a subset of its own widening — while
       leaving room for the parameter drift of later fine-tuning, the
       same engineering practice as the paper's "additional buffers" on
-      [D_in]. *)
+      [D_in]. Raises [Invalid_argument] on a negative or NaN [widen]. *)
   let abstractions ?deadline ?(widen = 0.) net din =
+    if not (widen >= 0.) then
+      invalid_arg "Analyzer.abstractions: widen must be >= 0";
     Cv_util.Metrics.incr m_calls;
     Cv_util.Metrics.time t_seconds @@ fun () ->
     with_alloc_gauge @@ fun () ->

@@ -12,7 +12,8 @@ module Make (D : Transformer.DOMAIN) : sig
       [widen] per neuron (default 0). Widening keeps the chain inductive
       while leaving room for fine-tuning drift. The optional [deadline]
       is polled once per layer; raises {!Cv_util.Deadline.Expired} on
-      budget exhaustion. *)
+      budget exhaustion, and [Invalid_argument] on a negative or NaN
+      [widen]. *)
   val abstractions :
     ?deadline:Cv_util.Deadline.t ->
     ?widen:float ->

@@ -120,3 +120,10 @@ let table () =
       rows;
     Buffer.contents buf
   end
+
+let word_bytes = float_of_int (Sys.word_size / 8)
+
+let allocated_bytes () =
+  let minor = Gc.minor_words () in
+  let _, promoted, major = Gc.counters () in
+  (minor +. major -. promoted) *. word_bytes

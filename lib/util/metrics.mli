@@ -6,8 +6,8 @@
     has an exact account of where its effort went (simplex pivots,
     branch-and-bound nodes, abstract-domain invocations, bisection
     splits, falsifier samples, escalation rungs, strategy decisions).
-    The CLI surfaces the registry as [--stats]; the bench harness
-    snapshots it into the machine-readable perf trajectory.
+    The CLI surfaces the registry as [--stats]; perfbench's traced runs
+    read it as per-layer metrics.
 
     Naming convention: [<engine>.<quantity>], dot-separated, e.g.
     [lp.pivots], [milp.nodes], [domains.symint.calls],
@@ -57,11 +57,18 @@ val counters : unit -> (string * int) list
 val timers : unit -> (string * float) list
 
 (** [to_json ()] is [{"counters": {...}, "timers": {...}}] with only
-    the non-zero entries — the schema consumed by the bench trajectory
-    and documented in DESIGN.md. *)
+    the non-zero entries. *)
 val to_json : unit -> Json.t
 
 (** [table ()] renders the non-zero entries as a human-readable table
     grouped by engine (the first dot-separated name segment) — the
     [--stats] output. Empty string when nothing was recorded. *)
 val table : unit -> string
+
+(** [allocated_bytes ()] is the number of bytes this domain has
+    allocated so far: minor words read from the live allocation pointer
+    ([Gc.minor_words]) plus words allocated directly in the major heap,
+    times the word size. Take the difference of two readings to measure
+    a span of code. [Gc.allocated_bytes] is not used: on OCaml 5.1 it
+    reads the words since the last minor collection as bytes. *)
+val allocated_bytes : unit -> float

@@ -1,10 +1,9 @@
-(* Historical (pre-kernel) abstract-interpretation implementations, kept
-   verbatim for the PR 9 kernel bench: the old-vs-new comparison is only
-   honest if the "old" side really runs the per-call sign splits, boxed
-   per-neuron records and per-generator matvecs the kernel layer
-   replaced. Everything here works on its own matrix type so none of the
-   blocked kernels in [Cv_linalg.Mat] can leak into the baseline
-   timings. *)
+(* Historical (pre-kernel) abstract-interpretation implementations, the
+   reference test_kernels checks every domain's prepared-kernel reach
+   against: per-call sign splits, boxed per-neuron records and
+   per-generator matvecs, as they ran before the kernel layer replaced
+   them. Everything here works on its own matrix type so none of the
+   blocked kernels in [Cv_linalg.Mat] can leak into the reference. *)
 
 type bmat = { rows : int; cols : int; data : float array }
 

@@ -175,6 +175,25 @@ let test_checkpoint_flag_validation () =
          "--resume-checkpoint"; corrupt ]
     <> 0)
 
+(* Every rejected --widen input fails through cli_fail (exit 123)
+   before any solve runs. Depends on test_generate_and_describe. *)
+let widen_rejections =
+  let path f = Filename.concat tmp_dir f in
+  let verify extra =
+    [ "verify"; "--model"; path "head1.json"; "--property";
+      path "property.json"; "--artifact"; path "p_widen.json" ]
+    @ extra
+  in
+  let serve widen =
+    [ "serve"; "--drive"; "--rounds"; "1"; "--widen=" ^ widen ]
+  in
+  [ ("verify --widen without --exact", verify [ "--widen"; "0.1" ]);
+    ("verify --widen negative", verify [ "--exact"; "--widen=-0.5" ]);
+    ("verify --widen nan", verify [ "--exact"; "--widen=nan" ]);
+    ("verify --widen inf", verify [ "--exact"; "--widen=inf" ]);
+    ("serve --widen negative", serve "-0.5");
+    ("serve --widen nan", serve "nan") ]
+
 let test_chaos_campaign () =
   check_run "chaos campaign is sound" [ "chaos"; "--seed"; "2"; "--rounds"; "3" ]
 
@@ -390,12 +409,17 @@ let () =
             test_verify_rejects_missing_file;
           Alcotest.test_case "kill and resume" `Quick test_kill_and_resume;
           Alcotest.test_case "checkpoint flag validation" `Quick
-            test_checkpoint_flag_validation;
-          Alcotest.test_case "chaos campaign" `Quick test_chaos_campaign;
-          Alcotest.test_case "batch golden report" `Quick test_batch_golden;
-          Alcotest.test_case "cert emission + check" `Quick
-            test_cert_emission_and_check;
-          Alcotest.test_case "batch jobs invariance" `Quick
-            test_batch_jobs_invariance;
-          Alcotest.test_case "batch loads each model once" `Quick
-            test_batch_loads_model_once ] ) ]
+            test_checkpoint_flag_validation ]
+        @ List.map
+            (fun (name, args) ->
+              Alcotest.test_case name `Quick (fun () ->
+                  check_run ~expect:123 name args))
+            widen_rejections
+        @ [ Alcotest.test_case "chaos campaign" `Quick test_chaos_campaign;
+            Alcotest.test_case "batch golden report" `Quick test_batch_golden;
+            Alcotest.test_case "cert emission + check" `Quick
+              test_cert_emission_and_check;
+            Alcotest.test_case "batch jobs invariance" `Quick
+              test_batch_jobs_invariance;
+            Alcotest.test_case "batch loads each model once" `Quick
+              test_batch_loads_model_once ] ) ]

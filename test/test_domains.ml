@@ -136,6 +136,25 @@ let test_widening_contains_plain () =
         (Cv_interval.Box.subset s wide.(i)))
     plain
 
+(* A negative or NaN slack would shrink or poison the chain: refused,
+   on every domain, instead of read as 0. *)
+let test_widen_rejects_negative_and_nan () =
+  let net = random_net ~seed:4 ~dims:[ 3; 6; 2 ] () in
+  let din = Cv_interval.Box.uniform 3 ~lo:(-1.) ~hi:1. in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun widen ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s widen %g"
+               (Cv_domains.Analyzer.domain_name kind)
+               widen)
+            (Invalid_argument "Analyzer.abstractions: widen must be >= 0")
+            (fun () ->
+              ignore (Cv_domains.Analyzer.abstractions ~widen kind net din)))
+        [ -0.5; Float.nan ])
+    Cv_domains.Analyzer.[ Box; Symint; Zonotope; Deeppoly; Star ]
+
 let test_verify_dispatch () =
   let net = fig2_net () in
   let din = Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1. in
@@ -324,6 +343,8 @@ let () =
       ( "analyzer",
         [ Alcotest.test_case "widening contains plain" `Quick
             test_widening_contains_plain;
+          Alcotest.test_case "widen rejects negative and NaN" `Quick
+            test_widen_rejects_negative_and_nan;
           Alcotest.test_case "verify dispatch" `Quick test_verify_dispatch;
           Alcotest.test_case "domain_of_string" `Quick test_domain_of_string;
           Alcotest.test_case "zonotope generators" `Quick

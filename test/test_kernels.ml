@@ -1,8 +1,10 @@
-(* Equivalence and allocation tests for the PR 9 kernel layer: blocked
-   / parallel / workspace kernels against naive reference
+(* Equivalence and allocation tests for the kernel layer: blocked /
+   parallel / workspace kernels against naive reference
    implementations, sign-split fidelity at ±0.0 and subnormals,
-   flat-store zonotopes against the historical row-array semantics, and
-   the steady-state allocation guarantee behind [kernel.bytes_alloc]. *)
+   flat-store zonotopes against the historical row-array semantics,
+   every domain's reach against its historical implementation
+   ([Baseline]), and the steady-state allocation guarantee behind
+   [kernel.bytes_alloc]. *)
 
 module Mat = Cv_linalg.Mat
 module Workspace = Cv_linalg.Workspace
@@ -518,6 +520,99 @@ let zonotope_flat_matches_rows =
       ok)
 
 (* ------------------------------------------------------------------ *)
+(* Prepared-kernel reach against the historical implementations in
+   [Baseline], for every domain they cover. The rule: the two reaches
+   contain each other within 1e-6, and both give the same verdict
+   against the reference reach widened by 0.05. Leaky ReLU is left out:
+   symint now bounds it relationally, tighter than the historical
+   code. *)
+
+let reference_domains =
+  [ ( "box",
+      (module Cv_domains.Box_domain : Cv_domains.Transformer.DOMAIN),
+      Baseline.box_output );
+    ( "symint",
+      (module Cv_domains.Symint : Cv_domains.Transformer.DOMAIN),
+      Baseline.symint_output );
+    ( "zonotope",
+      (module Cv_domains.Zonotope : Cv_domains.Transformer.DOMAIN),
+      Baseline.zonotope_output );
+    ( "deeppoly",
+      (module Cv_domains.Deeppoly : Cv_domains.Transformer.DOMAIN),
+      Baseline.deeppoly_output ) ]
+
+(* The domains whose reach breaks the rule on [net] over [din]. *)
+let off_reference net din =
+  let prep = Cv_nn.Network.prepared net in
+  let layers = Baseline.of_network net in
+  List.filter_map
+    (fun (name, (module D : Cv_domains.Transformer.DOMAIN), reference) ->
+      let reach =
+        D.to_box
+          (Array.fold_left (fun a p -> D.apply_prepared p a) (D.of_box din) prep)
+      in
+      let expected = reference layers din in
+      let dout = Cv_interval.Box.expand 0.05 expected in
+      let ok =
+        Cv_interval.Box.subset_tol ~tol:1e-6 reach expected
+        && Cv_interval.Box.subset_tol ~tol:1e-6 expected reach
+        && Cv_interval.Box.subset_tol reach dout
+           = Cv_interval.Box.subset_tol expected dout
+      in
+      if ok then None else Some name)
+    reference_domains
+
+let test_reference_fixed_nets () =
+  let fig2 =
+    Cv_nn.Network.of_list
+      [ Cv_nn.Layer.make
+          (Mat.of_rows [ [| 1.; -2. |]; [| -2.; 1. |]; [| 1.; -1. |] ])
+          [| 0.; 0.; 0. |] Cv_nn.Activation.Relu;
+        Cv_nn.Layer.make
+          (Mat.of_rows [ [| 2.; 2.; -1. |] ])
+          [| 0. |] Cv_nn.Activation.Relu ]
+  in
+  let wide =
+    Cv_nn.Network.random ~rng:(Cv_util.Rng.create 11)
+      ~dims:[ 32; 256; 256; 256; 1 ] ~act:Cv_nn.Activation.Relu ()
+  in
+  List.iter
+    (fun (label, net, din) ->
+      Alcotest.(check (list string))
+        (label ^ ": no domain off the reference") [] (off_reference net din))
+    [ ("fig2", fig2, Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1.);
+      ("32x256^3", wide, Cv_interval.Box.uniform 32 ~lo:(-1.) ~hi:1.) ]
+
+let kernels_match_reference =
+  QCheck.Test.make ~name:"kernel reach = historical reference, every domain"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (dims, act, seed, _) ->
+         Printf.sprintf "dims=[%s] act=%s seed=%d"
+           (String.concat ";" (List.map string_of_int dims))
+           (Cv_nn.Activation.to_string act)
+           seed)
+       QCheck.Gen.(
+         oneofl [ 1; 2; 3; 5; 9 ] >>= fun d_in ->
+         list_size (int_range 1 3) (oneofl [ 1; 2; 3; 5; 9; 17 ])
+         >>= fun hidden ->
+         oneofl [ 1; 2; 3 ] >>= fun d_out ->
+         oneofl Cv_nn.Activation.[ Relu; Sigmoid; Tanh; Identity ]
+         >>= fun act ->
+         int_bound 10_000 >>= fun seed ->
+         restart_box_gen d_in >|= fun din ->
+         ((d_in :: hidden) @ [ d_out ], act, seed, din)))
+    (fun (dims, act, seed, din) ->
+      let net =
+        Cv_nn.Network.random ~rng:(Cv_util.Rng.create seed) ~dims ~act ()
+      in
+      match off_reference net din with
+      | [] -> true
+      | names ->
+        QCheck.Test.fail_reportf "off the reference: %s"
+          (String.concat ", " names))
+
+(* ------------------------------------------------------------------ *)
 (* Steady-state allocation: the workspace-backed kernel loop must not
    allocate once buffers exist, and a whole box propagation must charge
    a flat per-call amount to [kernel.bytes_alloc]. *)
@@ -536,11 +631,11 @@ let test_kernel_loop_alloc_free () =
   for _ = 1 to 10 do
     iter ()
   done;
-  let b0 = Gc.allocated_bytes () in
+  let b0 = Cv_util.Metrics.allocated_bytes () in
   for _ = 1 to 1000 do
     iter ()
   done;
-  let per_iter = (Gc.allocated_bytes () -. b0) /. 1000. in
+  let per_iter = (Cv_util.Metrics.allocated_bytes () -. b0) /. 1000. in
   Alcotest.(check bool)
     (Printf.sprintf "steady state allocates ~0 B/iter (got %.1f)" per_iter)
     true (per_iter < 16.)
@@ -620,6 +715,10 @@ let () =
         [ QCheck_alcotest.to_alcotest symint_restart_bitwise ] );
       ( "zonotope-flat",
         [ QCheck_alcotest.to_alcotest zonotope_flat_matches_rows ] );
+      ( "reference",
+        [ Alcotest.test_case "fig2 and seeded 32x256^3 nets" `Quick
+            test_reference_fixed_nets;
+          QCheck_alcotest.to_alcotest kernels_match_reference ] );
       ( "satellites",
         [ Alcotest.test_case "Mat.col strided / Mat.init index" `Quick
             test_col_and_init ] ) ]

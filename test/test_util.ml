@@ -359,6 +359,19 @@ let test_heap_ordering () =
   Alcotest.(check int) "drained all" (200 - 67) !n;
   Alcotest.(check bool) "empty after drain" true (Cv_util.Heap.is_empty h)
 
+(* One [Some i] per iteration is a header plus one field: two words.
+   Right after a minor collection, [Gc.allocated_bytes] on OCaml 5.1
+   reads this loop as 2 B/iter; the helper must read 16 (on 64 bits). *)
+let test_allocated_bytes () =
+  let expected = float_of_int (2 * (Sys.word_size / 8)) in
+  Gc.minor ();
+  let b0 = Cv_util.Metrics.allocated_bytes () in
+  for i = 1 to 1000 do
+    ignore (Sys.opaque_identity (Some i))
+  done;
+  let per_iter = (Cv_util.Metrics.allocated_bytes () -. b0) /. 1000. in
+  Alcotest.(check (float 0.5)) "bytes per Some" expected per_iter
+
 let () =
   Alcotest.run "cv_util"
     [ ( "float_utils",
@@ -405,6 +418,9 @@ let () =
           Alcotest.test_case "exists witness wins" `Quick
             test_parallel_exists_witness_wins;
           Alcotest.test_case "max_time" `Quick test_parallel_max_time ] );
+      ( "metrics",
+        [ Alcotest.test_case "allocated_bytes counts bytes" `Quick
+            test_allocated_bytes ] );
       ( "heap",
         [ Alcotest.test_case "basic" `Quick test_heap_basic;
           Alcotest.test_case "ordering" `Quick test_heap_ordering ] ) ]

@@ -480,14 +480,23 @@ let test_containment_lowers_once () =
   Alcotest.(check int) "2·d bound queries" 4 (counter "milp.solves" - solves0);
   Alcotest.(check int) "one cold solve" 1 (counter "lp.warmstart.misses" - misses0)
 
+(* Figure 2's exact maximum. Its branch-and-bound restarts each child
+   node from the parent's dual basis, so warm-start hits rise and
+   phase 1 is skipped. *)
 let test_exact_range_fig2 () =
   let net = fig2_net () in
+  let hits0 = counter "lp.warmstart.hits" in
+  let skipped0 = counter "lp.phase1.skipped" in
   let r =
     Cv_verify.Range.exact_range net
       ~din:(Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1.1)
   in
   check_float "max 6.2" 6.2 (Cv_interval.Interval.hi (Cv_interval.Box.get r.Cv_verify.Range.range 0));
-  check_float "min 0" 0. (Cv_interval.Interval.lo (Cv_interval.Box.get r.Cv_verify.Range.range 0))
+  check_float "min 0" 0. (Cv_interval.Interval.lo (Cv_interval.Box.get r.Cv_verify.Range.range 0));
+  Alcotest.(check bool) "lp.warmstart.hits rise" true
+    (counter "lp.warmstart.hits" > hits0);
+  Alcotest.(check bool) "lp.phase1.skipped rises" true
+    (counter "lp.phase1.skipped" > skipped0)
 
 let test_verify_exact_verdicts () =
   let net = fig2_net () in
