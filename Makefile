@@ -58,10 +58,14 @@ certfuzz:
 	    -out _build/certfuzz-failures || exit 1; \
 	done
 
-# The last two drive Cv_core.Session end to end (about 15 s together).
+# Every example, as CI runs them (about 75 s on 2 vCPUs, most of it
+# lane_following and fine_tuning); the last two drive Cv_core.Session
+# end to end.
 examples:
 	dune exec examples/quickstart.exe
 	dune exec examples/paper_example.exe
+	dune exec examples/lane_following.exe
+	dune exec examples/fine_tuning.exe
 	dune exec examples/collision_avoidance.exe
 	dune exec examples/continuous_loop.exe
 

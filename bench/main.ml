@@ -189,14 +189,14 @@ let fig1 () =
      enlarged domain, and the exact MILP reach of the enlarged domain,
      all at layer 2. *)
   let chain =
-    Cv_domains.Analyzer.abstractions Cv_domains.Analyzer.Symint head din
+    Cv_domains.Analyzer.abstractions Cv_domains.Analyzer.Box head din
   in
   let s2 = chain.(1) in
   let prefix2 = Cv_nn.Network.prefix head 2 in
   let abstract_enlarged =
     (* Same transformer family as the stored chain, re-run on the
        enlarged domain (fig 1-b). *)
-    Cv_domains.Analyzer.abstractions Cv_domains.Analyzer.Symint prefix2 new_din
+    Cv_domains.Analyzer.abstractions Cv_domains.Analyzer.Box prefix2 new_din
     |> fun s -> s.(1)
   in
   let exact = Cv_verify.Range.exact_range prefix2 ~din:new_din in
@@ -333,7 +333,7 @@ let ablation_engines () =
      fail on the enlarged domain and the exact engines must decide —
      exactly the situation the propositions are designed for. *)
   let chain =
-    Cv_domains.Analyzer.abstractions Cv_domains.Analyzer.Symint head din
+    Cv_domains.Analyzer.abstractions Cv_domains.Analyzer.Box head din
   in
   let prefix2 = Cv_nn.Network.prefix head 2 in
   Printf.printf "%-22s %-14s %-10s\n" "engine" "verdict" "time (ms)";

@@ -72,7 +72,7 @@ let () =
 
   section "2. Certify score bounds over the operating region";
   let chain =
-    Cv_domains.Analyzer.abstractions ~widen:0.05 Cv_domains.Analyzer.Symint net
+    Cv_domains.Analyzer.abstractions ~widen:0.05 Cv_domains.Analyzer.Box net
       train_region
   in
   let dout = Cv_interval.Box.expand 0.05 (chain.(Array.length chain - 1)) in

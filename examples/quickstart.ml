@@ -20,7 +20,7 @@ let () =
      the widening (here 0.05 per neuron) is the slack that later absorbs
      fine-tuning drift. *)
   let chain =
-    Cv_domains.Analyzer.abstractions ~widen:0.05 Cv_domains.Analyzer.Symint net
+    Cv_domains.Analyzer.abstractions ~widen:0.05 Cv_domains.Analyzer.Box net
       din
   in
   let dout = chain.(Array.length chain - 1) in

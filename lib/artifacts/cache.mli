@@ -9,7 +9,7 @@
     where [fingerprint] is {!Artifacts.fingerprint} (a content hash of
     the network's weights, biases and activations), the box hash is a
     content hash of the box's canonical JSON, and [kind] names the
-    recipe (e.g. ["abstractions:symint:w=0"], ["lipschitz:Linf"],
+    recipe (e.g. ["abstractions:w=0"], ["lipschitz:Linf"],
     ["netabs:adaptive:dout=<hash>"]).
     Content addressing gives invalidation for free: a fine-tuned network
     has a different fingerprint, so its keys can never collide with

@@ -12,7 +12,6 @@ module Box = Cv_interval.Box
 module Property = Cv_verify.Property
 module Artifacts = Cv_artifacts.Artifacts
 module Cache = Cv_artifacts.Cache
-module Analyzer = Cv_domains.Analyzer
 
 let src = Logs.Src.create "cv.batch" ~doc:"Batch verification scheduler"
 
@@ -295,21 +294,18 @@ let verdict_of_containment = function
     | Cv_verify.Containment.Crash -> (Crashed, u.Cv_verify.Containment.message)
     | _ -> (Inconclusive, u.Cv_verify.Containment.message))
 
-(* The cached abstract route of a plain verify job: the chain is the
-   content-addressed artifact, so the second job on the same
-   (net, D_in, domain) skips the analysis entirely. *)
+(* The cached abstract route of a plain verify job: the box chain is
+   the content-addressed artifact, so the second job on the same
+   (net, D_in) skips the analysis entirely. *)
 let abstract_attempt ~config ?deadline ~chain net (prop : Property.t) () =
-  let domain = config.strategy.Strategy.domain in
-  let name = "abstract-" ^ Analyzer.domain_name domain in
   let boxes, wall =
     Timer.time (fun () ->
-        Strategy.chain ?cache:config.cache ?deadline domain net
-          prop.Property.din)
+        Strategy.chain ?cache:config.cache ?deadline net prop.Property.din)
   in
   let n = Array.length boxes in
   let proved = n > 0 && Box.subset_tol boxes.(n - 1) prop.Property.dout in
   if proved then chain := Some boxes;
-  { Report.name;
+  { Report.name = "abstract-box";
     outcome =
       (if proved then Report.Safe
        else Report.Inconclusive "abstract chain does not prove containment");
@@ -320,8 +316,7 @@ let run_verify ~config ?deadline ?checkpoint ?resume ~net ~prop ~exact
     ~artifact_out () =
   if exact then begin
     let r =
-      Strategy.solve_original_exact ?deadline ~config:config.strategy
-        ?checkpoint ?resume net prop
+      Strategy.solve_original_exact ?deadline ?checkpoint ?resume net prop
     in
     let verdict, detail =
       verdict_of_containment r.Strategy.report.Cv_verify.Verifier.verdict

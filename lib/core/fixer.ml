@@ -19,42 +19,24 @@ type diagnosis = {
 }
 
 (** [diagnose ?deadline ?engine ?domains p] runs the n independent
-    Prop.-4 subproblems and reports which layers fail. *)
-let diagnose ?deadline ?(engine = Cv_verify.Containment.Ladder) ?domains
-    (p : Problem.svbtv) =
-  match Svbtv.get_abstractions p with
-  | None -> None
-  | Some s ->
-    let net = p.Problem.new_net in
-    let n = Cv_nn.Network.num_layers net in
-    let specs =
-      Array.init n (fun i ->
-          let input_box = if i = 0 then p.Problem.new_din else s.(i - 1) in
-          let target = if i = n - 1 then Svbtv.dout p else s.(i) in
-          (i, input_box, target))
-    in
-    let results =
-      Cv_util.Parallel.map ?domains
-        (fun (i, input_box, target) ->
-          let slice = Cv_nn.Network.slice net ~from_:i ~to_:(i + 1) in
-          Cv_verify.Containment.check_timed ?deadline engine slice ~input_box
-            ~target)
-        specs
-    in
-    let failing = ref [] in
-    Array.iteri
-      (fun i (v, _) ->
-        if not (Cv_verify.Containment.is_proved v) then failing := (i + 1) :: !failing)
-      results;
-    Some { failing = List.rev !failing; sub_times = Array.map snd results }
+    Prop.-4 subproblems ({!Svbtv.layer_checks}) and reports which layers
+    fail. *)
+let diagnose ?deadline ?engine ?domains (p : Problem.svbtv) =
+  Svbtv.layer_checks ?deadline ?engine ?domains p
+  |> Option.map (fun (results : Svbtv.sub_result array) ->
+         { failing =
+             List.init (Array.length results) succ
+             |> List.filter (fun i ->
+                    not (Cv_verify.Containment.is_proved results.(i - 1).verdict));
+           sub_times = Array.map (fun (r : Svbtv.sub_result) -> r.seconds) results })
 
-(** [fix ?engine ?domain p ~failing_layer] attempts the repair for a
-    single failing (1-based) layer. Returns a {!Report.attempt}; [Safe]
-    when containment is re-established (possibly only at the output
-    check), [Inconclusive] when the propagation reaches the output
-    without ever being recaptured. *)
-let fix ?deadline ?(engine = Cv_verify.Containment.Ladder)
-    ?(domain = Cv_domains.Analyzer.Symint) (p : Problem.svbtv) ~failing_layer =
+(** [fix ?engine p ~failing_layer] attempts the repair for a single
+    failing (1-based) layer. Returns a {!Report.attempt}; [Safe] when
+    containment is re-established (possibly only at the output check),
+    [Inconclusive] when the propagation reaches the output without ever
+    being recaptured. *)
+let fix ?deadline ?(engine = Cv_verify.Containment.Ladder) (p : Problem.svbtv)
+    ~failing_layer =
   match Svbtv.get_abstractions p with
   | None ->
     { Report.name = "fixer";
@@ -68,12 +50,13 @@ let fix ?deadline ?(engine = Cv_verify.Containment.Ladder)
       invalid_arg "Fixer.fix: failing_layer out of range";
     let run () =
       let i = failing_layer in
-      (* Rebuild S'_i: the abstract image of the previous (trusted)
-         abstraction under the new layer. *)
+      (* Rebuild S'_i: the box step of the previous (trusted)
+         abstraction under the new layer, the step the stored chain was
+         built with. *)
       let input_box = if i = 1 then p.Problem.new_din else s.(i - 2) in
       let image from_box layer_idx =
         let slice = Cv_nn.Network.slice net ~from_:layer_idx ~to_:(layer_idx + 1) in
-        Cv_domains.Analyzer.output_box domain slice from_box
+        Cv_domains.Analyzer.output_box Cv_domains.Analyzer.Box slice from_box
       in
       let rec propagate s'_k k steps =
         (* s'_k is the replacement abstraction after layer k (1-based). *)
@@ -118,11 +101,11 @@ let fix ?deadline ?(engine = Cv_verify.Containment.Ladder)
         (if detail = "" then Printf.sprintf "failing layer %d" failing_layer
          else Printf.sprintf "failing layer %d: %s" failing_layer detail) }
 
-(** [repair ?deadline ?engine ?domain ?domains p] — diagnose, then fix
-    when the failure is localised to a single layer (the case §IV-C
-    treats); multi-layer failures are reported inconclusive for the
-    strategy to fall back on. *)
-let repair ?deadline ?engine ?domain ?domains (p : Problem.svbtv) =
+(** [repair ?deadline ?engine ?domains p] — diagnose, then fix when the
+    failure is localised to a single layer (the case §IV-C treats);
+    multi-layer failures are reported inconclusive for the strategy to
+    fall back on. *)
+let repair ?deadline ?engine ?domains (p : Problem.svbtv) =
   match diagnose ?deadline ?engine ?domains p with
   | None ->
     { Report.name = "fixer";
@@ -142,7 +125,7 @@ let repair ?deadline ?engine ?domain ?domains (p : Problem.svbtv) =
       detail = "no failing layer (Prop 4 holds)" }
   | Some { failing = [ layer ]; sub_times } ->
     let diag_wall = Array.fold_left ( +. ) 0. sub_times in
-    let attempt = fix ?deadline ?engine ?domain p ~failing_layer:layer in
+    let attempt = fix ?deadline ?engine p ~failing_layer:layer in
     { attempt with
       Report.timing =
         { attempt.Report.timing with

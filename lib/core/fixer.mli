@@ -13,8 +13,8 @@ type diagnosis = {
 }
 
 (** [diagnose ?engine ?domains p] runs the n independent Prop.-4
-    subproblems and reports which layers fail; [None] when the artifact
-    carries no state abstractions. *)
+    subproblems ({!Svbtv.layer_checks}) and reports which layers fail;
+    [None] when the artifact carries no state abstractions. *)
 val diagnose :
   ?deadline:Cv_util.Deadline.t ->
   ?engine:Cv_verify.Containment.engine ->
@@ -22,26 +22,24 @@ val diagnose :
   Problem.svbtv ->
   diagnosis option
 
-(** [fix ?engine ?domain p ~failing_layer] attempts the repair for a
-    single failing (1-based) layer: rebuild [S'], propagate forward
-    (free box inclusion first, exact handoff second), succeed on
-    recapture or on a final [D_out] check. *)
+(** [fix ?engine p ~failing_layer] attempts the repair for a single
+    failing (1-based) layer: rebuild [S'] by the box step, propagate
+    forward (free box inclusion first, exact handoff second), succeed
+    on recapture or on a final [D_out] check. *)
 val fix :
   ?deadline:Cv_util.Deadline.t ->
   ?engine:Cv_verify.Containment.engine ->
-  ?domain:Cv_domains.Analyzer.domain_kind ->
   Problem.svbtv ->
   failing_layer:int ->
   Report.attempt
 
-(** [repair ?engine ?domain ?domains p] — diagnose, then fix when the
-    failure is localised to a single layer (the case §IV-C treats);
-    a clean diagnosis is Proposition 4 itself, and multi-layer failures
-    are reported inconclusive for the strategy to fall back on. *)
+(** [repair ?engine ?domains p] — diagnose, then fix when the failure
+    is localised to a single layer (the case §IV-C treats); a clean
+    diagnosis is Proposition 4 itself, and multi-layer failures are
+    reported inconclusive for the strategy to fall back on. *)
 val repair :
   ?deadline:Cv_util.Deadline.t ->
   ?engine:Cv_verify.Containment.engine ->
-  ?domain:Cv_domains.Analyzer.domain_kind ->
   ?domains:int ->
   Problem.svbtv ->
   Report.attempt

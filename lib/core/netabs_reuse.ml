@@ -47,19 +47,21 @@ let build ?(refinements = 0) net ~din =
   in
   { upper; lower; din }
 
-(** [output_bounds ?engine t] bounds the abstraction pair's output over
-    its domain: returns [(lo, hi)] such that every network dominated by
-    the pair maps [din] into [[lo, hi]]. Bounds are obtained by running
-    the chosen engine (default symbolic intervals) on the merged
-    networks over the shifted domain. *)
-let output_bounds ?(domain = Cv_domains.Analyzer.Symint) t =
+(** [output_bounds t] bounds the abstraction pair's output over its
+    domain: returns [(lo, hi)] such that every network dominated by the
+    pair maps [din] into [[lo, hi]]. Bounds are obtained by running
+    symbolic intervals on the merged networks over the shifted
+    domain. *)
+let output_bounds t =
   let bound_one merge =
     let net = Cv_netabs.Merge.merged_network merge in
     let shifted =
       Cv_netabs.Netabs.shifted_box t.din
         merge.Cv_netabs.Merge.merged.Cv_netabs.Netabs.input_shift
     in
-    let out = Cv_domains.Analyzer.output_box domain net shifted in
+    let out =
+      Cv_domains.Analyzer.output_box Cv_domains.Analyzer.Symint net shifted
+    in
     Cv_interval.Interval.hi (Cv_interval.Box.get out 0)
   in
   let hi = bound_one t.upper in
@@ -67,8 +69,8 @@ let output_bounds ?(domain = Cv_domains.Analyzer.Symint) t =
   (-.neg_hi, hi)
 
 (** [proves t ~dout] — does the pair establish [f(D_in) ⊆ D_out]? *)
-let proves ?domain t ~dout =
-  let lo, hi = output_bounds ?domain t in
+let proves t ~dout =
+  let lo, hi = output_bounds t in
   let iv = Cv_interval.Box.get dout 0 in
   Cv_util.Float_utils.geq lo (Cv_interval.Interval.lo iv)
   && Cv_util.Float_utils.leq hi (Cv_interval.Interval.hi iv)
@@ -92,12 +94,7 @@ let build_adaptive ?(max_refinements = 64) net ~din ~dout =
           lower = Option.value ~default:t.lower l }
   in
   let rec go t k =
-    let lo, hi = output_bounds t in
-    let iv = Cv_interval.Box.get dout 0 in
-    if
-      Cv_util.Float_utils.geq lo (Cv_interval.Interval.lo iv)
-      && Cv_util.Float_utils.leq hi (Cv_interval.Interval.hi iv)
-    then Some t
+    if proves t ~dout then Some t
     else if k = 0 then None
     else match refine_pair t with None -> None | Some t' -> go t' (k - 1)
   in

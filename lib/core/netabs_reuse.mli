@@ -31,15 +31,13 @@ val build_adaptive :
   dout:Cv_interval.Box.t ->
   t option
 
-(** [output_bounds ?domain t] bounds the abstraction pair's output over
-    its domain: [(lo, hi)] such that every network dominated by the pair
-    maps [din] into [[lo, hi]]. *)
-val output_bounds : ?domain:Cv_domains.Analyzer.domain_kind -> t -> float * float
+(** [output_bounds t] bounds the abstraction pair's output over its
+    domain with symbolic intervals: [(lo, hi)] such that every network
+    dominated by the pair maps [din] into [[lo, hi]]. *)
+val output_bounds : t -> float * float
 
-(** [proves ?domain t ~dout] — does the pair establish
-    [f(D_in) ⊆ D_out]? *)
-val proves :
-  ?domain:Cv_domains.Analyzer.domain_kind -> t -> dout:Cv_interval.Box.t -> bool
+(** [proves t ~dout] — does the pair establish [f(D_in) ⊆ D_out]? *)
+val proves : t -> dout:Cv_interval.Box.t -> bool
 
 (** [reuses t net'] — Prop. 6's premise [f' →D_in f̂]: both models still
     dominate the fine-tuned network (weight checks only, no solver). *)

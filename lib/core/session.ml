@@ -80,8 +80,8 @@ let resume ?config ?widen net artifact =
 let certify ?deadline ?(config = Batch.default_config) ?(widen = default_widen)
     net prop =
   let original =
-    Strategy.solve_original_exact ?deadline ~config:config.Batch.strategy
-      ~widen ~with_split_cert:true net prop
+    Strategy.solve_original_exact ?deadline ~widen ~with_split_cert:true net
+      prop
   in
   if original.Strategy.proved then
     Ok (resume ~config ~widen net original.Strategy.artifact)
@@ -146,8 +146,7 @@ let refresh s net (prop : Property.t) =
   let chain =
     match
       Cv_util.Supervisor.run ~name:"session.refresh-chain" (fun () ->
-          Strategy.chain ?cache ~widen:s.widen strategy.Strategy.domain net
-            prop.Property.din)
+          Strategy.chain ?cache ~widen:s.widen net prop.Property.din)
     with
     | Ok c when Box.subset_tol c.(Array.length c - 1) prop.Property.dout ->
       Some c

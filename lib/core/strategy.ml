@@ -14,7 +14,6 @@
 
 type config = {
   engine : Cv_verify.Containment.engine;  (** exact engine for subproblems *)
-  domain : Cv_domains.Analyzer.domain_kind;  (** abstract domain for rebuilds *)
   lipschitz_norm : Cv_lipschitz.Lipschitz.norm;
   anchors : int list option;  (** Prop 5 anchors; [None] = every 2 layers *)
   interval_slack : float option;  (** weight-interval Prop 6 budget *)
@@ -22,11 +21,10 @@ type config = {
 }
 
 (** A sensible default configuration (ladder subproblems — symint
-    bound first, cutoff MILP for the sides it leaves open —
-    symbolic-interval abstractions, ∞-norm Lipschitz). *)
+    bound first, cutoff MILP for the sides it leaves open — and ∞-norm
+    Lipschitz). *)
 let default_config =
   { engine = Cv_verify.Containment.Ladder;
-    domain = Cv_domains.Analyzer.Symint;
     lipschitz_norm = Cv_lipschitz.Lipschitz.Linf;
     anchors = None;
     interval_slack = None;
@@ -54,14 +52,15 @@ let lipschitz ?cache net =
             build ))
     [ ("Linf", Cv_lipschitz.Lipschitz.Linf); ("L2", Cv_lipschitz.Lipschitz.L2) ]
 
-(** [chain ?cache ?deadline ?widen domain net din] is the
-    state-abstraction chain [S_1..S_n] of [net] over [din], built
-    through [cache] (kind [abstractions:<domain>:w=<widen>]) when one is
-    given. The widen is rendered with [%.17g], as the JSON writer does,
-    so distinct slacks never share an entry. *)
-let chain ?cache ?deadline ?(widen = 0.) domain net din =
+(** [chain ?cache ?deadline ?widen net din] is the state-abstraction
+    chain [S_1..S_n] of [net] over [din], built through [cache] (kind
+    [abstractions:w=<widen>]) when one is given. The widen is rendered
+    with [%.17g], as the JSON writer does, so distinct slacks never
+    share an entry. *)
+let chain ?cache ?deadline ?(widen = 0.) net din =
   let build () =
-    Cv_domains.Analyzer.abstractions ?deadline ~widen domain net din
+    Cv_domains.Analyzer.abstractions ?deadline ~widen Cv_domains.Analyzer.Box
+      net din
   in
   match cache with
   | None -> build ()
@@ -69,10 +68,7 @@ let chain ?cache ?deadline ?(widen = 0.) domain net din =
     Cv_artifacts.Cache.boxes_or_build c
       ~fingerprint:(Cv_artifacts.Artifacts.fingerprint net)
       ~box_hash:(Cv_artifacts.Cache.box_hash din)
-      ~kind:
-        (Printf.sprintf "abstractions:%s:w=%.17g"
-           (Cv_domains.Analyzer.domain_name domain)
-           widen)
+      ~kind:(Printf.sprintf "abstractions:w=%.17g" widen)
       build
 
 (* ------------------------------------------------------------------ *)
@@ -98,7 +94,7 @@ let solve_original ?deadline ?(config = default_config) net prop =
     Cv_util.Timer.time (fun () ->
         let pr =
           Cv_verify.Verifier.verify_with_abstractions ?deadline
-            ~domain:config.domain ~fallback:config.engine net prop
+            ~fallback:config.engine net prop
         in
         (pr, lipschitz net))
   in
@@ -119,15 +115,15 @@ let solve_original ?deadline ?(config = default_config) net prop =
     report = { pr.Cv_verify.Verifier.report with Cv_verify.Verifier.seconds = wall };
     proved }
 
-(** [solve_original_exact ?config ?widen net prop] — the Table I
+(** [solve_original_exact ?widen net prop] — the Table I
     "original problem": a sound-and-complete full-network run (exact
     MILP output range, no cutoffs) {e plus} artifact recording: the
     widened inductive abstraction chain (default slack 0.02) and
     Lipschitz constants. The widening leaves slack for later
     fine-tuning, the same practice as the paper's input-bound buffers.
     Raises on non-piecewise-linear networks. *)
-let solve_original_exact ?deadline ?(config = default_config) ?(widen = 0.02)
-    ?(with_split_cert = false) ?checkpoint ?resume net prop =
+let solve_original_exact ?deadline ?(widen = 0.02) ?(with_split_cert = false)
+    ?checkpoint ?resume net prop =
   Cv_util.Trace.with_span "strategy.original_exact" @@ fun () ->
   let lipschitz () = lipschitz net in
   let body () =
@@ -141,9 +137,7 @@ let solve_original_exact ?deadline ?(config = default_config) ?(widen = 0.02)
           ~target:prop.Cv_verify.Property.dout
       else None
     in
-    let s =
-      chain ?deadline ~widen config.domain net prop.Cv_verify.Property.din
-    in
+    let s = chain ?deadline ~widen net prop.Cv_verify.Property.din in
     let chain_proves =
       Cv_interval.Box.subset_tol s.(Array.length s - 1)
         prop.Cv_verify.Property.dout
@@ -198,8 +192,8 @@ let full_verify ?deadline ?(config = default_config) net prop =
         match deadline with
         | Some _ -> Cv_verify.Verifier.verify_graceful ?deadline net prop
         | None ->
-          (Cv_verify.Verifier.verify_with_abstractions ~domain:config.domain
-             ~fallback:config.engine net prop)
+          (Cv_verify.Verifier.verify_with_abstractions ~fallback:config.engine
+             net prop)
             .Cv_verify.Verifier.report)
   in
   let outcome =
@@ -321,8 +315,7 @@ let solve_svudc ?deadline ?(config = default_config) ?checkpoint ?resume
       (fun () -> Svudc.prop3 ~norm:config.lipschitz_norm p);
       (fun () -> Svudc.prop1 ?deadline ~engine:config.engine p);
       (fun () ->
-        Svudc.prop2 ?deadline ~domain:config.domain ~engine:config.engine
-          ?domains:config.domains p);
+        Svudc.prop2 ?deadline ~engine:config.engine ?domains:config.domains p);
       (fun () ->
         Svudc.delta_cover ?deadline ~engine:config.engine
           ?domains:config.domains p);
@@ -355,8 +348,8 @@ let solve_svbtv ?deadline ?(config = default_config) ?netabs ?checkpoint
         (fun () ->
           (* The paper's own routes next (Prop 4 with §IV-C fixing);
              the differential extension backs them up below. *)
-          Fixer.repair ?deadline ~engine:config.engine ~domain:config.domain
-            ?domains:config.domains p);
+          Fixer.repair ?deadline ~engine:config.engine ?domains:config.domains
+            p);
         (fun () -> Diff_reuse.prop_diff ~norm:config.lipschitz_norm p);
         (fun () ->
           let n = Cv_nn.Network.num_layers p.Problem.new_net in

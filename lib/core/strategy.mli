@@ -12,7 +12,6 @@
 
 type config = {
   engine : Cv_verify.Containment.engine;  (** exact engine for subproblems *)
-  domain : Cv_domains.Analyzer.domain_kind;  (** abstract domain for rebuilds *)
   lipschitz_norm : Cv_lipschitz.Lipschitz.norm;
   anchors : int list option;  (** Prop 5 anchors; [None] = every 2 layers *)
   interval_slack : float option;  (** weight-interval Prop 6 budget *)
@@ -20,8 +19,8 @@ type config = {
 }
 
 (** A sensible default configuration (ladder subproblems — symint
-    bound first, cutoff MILP for the sides it leaves open —
-    symbolic-interval abstractions, ∞-norm Lipschitz). *)
+    bound first, cutoff MILP for the sides it leaves open — and ∞-norm
+    Lipschitz). *)
 val default_config : config
 
 (** [lipschitz ?cache net] is the pair of global Lipschitz constants an
@@ -30,15 +29,14 @@ val default_config : config
 val lipschitz :
   ?cache:Cv_artifacts.Cache.t -> Cv_nn.Network.t -> (string * float) list
 
-(** [chain ?cache ?deadline ?widen domain net din] is the
-    state-abstraction chain [S_1..S_n] of [net] over [din] (per-neuron
-    slack [widen], default 0), built through [cache] (kind
-    [abstractions:<domain>:w=<widen>]) when one is given. *)
+(** [chain ?cache ?deadline ?widen net din] is the state-abstraction
+    chain [S_1..S_n] of [net] over [din] ({!Cv_domains.Analyzer.abstractions},
+    per-neuron slack [widen], default 0), built through [cache] (kind
+    [abstractions:w=<widen>]) when one is given. *)
 val chain :
   ?cache:Cv_artifacts.Cache.t ->
   ?deadline:Cv_util.Deadline.t ->
   ?widen:float ->
-  Cv_domains.Analyzer.domain_kind ->
   Cv_nn.Network.t ->
   Cv_interval.Box.t ->
   Cv_interval.Box.t array
@@ -62,7 +60,7 @@ val solve_original :
   Cv_verify.Property.t ->
   original
 
-(** [solve_original_exact ?deadline ?config ?widen net prop] — the
+(** [solve_original_exact ?deadline ?widen net prop] — the
     Table I "original problem": a sound-and-complete full-network run
     (exact MILP output range, no cutoffs) {e plus} artifact recording:
     the widened inductive abstraction chain (default slack 0.02) and
@@ -77,7 +75,6 @@ val solve_original :
     identical verdict. *)
 val solve_original_exact :
   ?deadline:Cv_util.Deadline.t ->
-  ?config:config ->
   ?widen:float ->
   ?with_split_cert:bool ->
   ?checkpoint:Cv_util.Checkpoint.t ->

@@ -75,32 +75,36 @@ let summarize name engine results ~wall =
       Printf.sprintf "%d independent subproblems [%s]" (Array.length results)
         (Cv_verify.Containment.engine_name engine) }
 
-(** [prop4 ?engine ?domains p] — single-layer reuse of every stored
-    abstraction: [g'_1] over the enlarged domain into [S_1], each
-    [g'_{i+1}] over [S_i] into [S_{i+1}], and [g'_n] over [S_{n-1}] into
-    [D_out]. All subproblems are independent and run in parallel. *)
-let prop4 ?deadline ?(engine = Cv_verify.Containment.Ladder) ?domains
+(** [layer_checks ?engine ?domains p] — the n single-layer subproblems
+    of Proposition 4 over the stored chain: [g'_1] over the enlarged
+    domain into [S_1], each [g'_{i+1}] over [S_i] into [S_{i+1}], and
+    [g'_n] over [S_{n-1}] into [D_out], run in parallel. *)
+let layer_checks ?deadline ?(engine = Cv_verify.Containment.Ladder) ?domains
     (p : Problem.svbtv) =
-  match get_abstractions p with
-  | None ->
-    { Report.name = "prop4";
-      outcome = Report.Inconclusive abstraction_required;
-      timing = Report.sequential_timing 0.;
-      detail = "" }
-  | Some s ->
-    let net = p.Problem.new_net in
-    let n = Cv_nn.Network.num_layers net in
-    let specs =
+  Option.map
+    (fun s ->
+      let net = p.Problem.new_net in
+      let n = Cv_nn.Network.num_layers net in
       Array.init n (fun i ->
           let input_box = if i = 0 then p.Problem.new_din else s.(i - 1) in
           let target = if i = n - 1 then dout p else s.(i) in
           (Printf.sprintf "layer%d" (i + 1), i, i + 1, input_box, target))
-    in
-    let results, wall =
-      Cv_util.Timer.time (fun () ->
-          run_subproblems ?deadline ?domains engine net specs)
-    in
-    summarize "prop4" engine results ~wall
+      |> run_subproblems ?deadline ?domains engine net)
+    (get_abstractions p)
+
+(** [prop4 ?engine ?domains p] — single-layer reuse of every stored
+    abstraction ({!layer_checks}); every subproblem must hold. *)
+let prop4 ?deadline ?(engine = Cv_verify.Containment.Ladder) ?domains
+    (p : Problem.svbtv) =
+  match
+    Cv_util.Timer.time (fun () -> layer_checks ?deadline ~engine ?domains p)
+  with
+  | None, _ ->
+    { Report.name = "prop4";
+      outcome = Report.Inconclusive abstraction_required;
+      timing = Report.sequential_timing 0.;
+      detail = "" }
+  | Some results, wall -> summarize "prop4" engine results ~wall
 
 (** [prop5 ?engine ?domains ~anchors p] — multi-layer reuse at the
     anchor layers [⟨α_1⟩ < … < ⟨α_l⟩] (paper-style 1-based indices with
@@ -178,15 +182,7 @@ let leaf_reuse ?deadline ?domains (p : Problem.svbtv) =
         ( Report.Inconclusive
             "certificate target does not imply the property",
           "" )
-      else if
-        not
-          (Cv_util.Parallel.for_all ?domains
-             (fun leaf ->
-               Cv_interval.Box.subset_tol
-                 (Cv_domains.Analyzer.output_box Cv_domains.Analyzer.Symint
-                    p.Problem.new_net leaf)
-                 cert.Cv_verify.Split_cert.target)
-             cert.Cv_verify.Split_cert.leaves)
+      else if not (Cv_verify.Split_cert.revalidate ?domains cert p.Problem.new_net)
       then (Report.Inconclusive "some leaf fails for the new network", "")
       else begin
         (* Leaves cover the certified domain; handle any enlargement

@@ -86,15 +86,14 @@ let prop1 ?deadline ?(engine = Cv_verify.Containment.Ladder)
             (Cv_verify.Containment.engine_name engine) }
     end
 
-(** [prop2 ?domain ?engine ?domains p] — proof reuse at layer [j+1]:
-    rebuild [S'_1..S'_{n-1}] on the enlarged domain with the abstract
-    [domain] (default symbolic intervals), then search — in parallel —
-    for a [j] whose handoff [∀x ∈ S'_j, g_{j+1}(x) ∈ S_{j+1}] holds.
-    The handoff is first tried as a free box-inclusion test
-    ([S'_j ⊆ S_j]), then with the exact engine on the single-layer
-    slice. *)
-let prop2 ?deadline ?(domain = Cv_domains.Analyzer.Symint)
-    ?(engine = Cv_verify.Containment.Ladder) ?domains (p : Problem.svudc) =
+(** [prop2 ?engine ?domains p] — proof reuse at layer [j+1]: rebuild
+    the box chain [S'_1..S'_{n-1}] on the enlarged domain, then search —
+    in parallel — for a [j] whose handoff
+    [∀x ∈ S'_j, g_{j+1}(x) ∈ S_{j+1}] holds. The handoff is first tried
+    as a free box-inclusion test ([S'_j ⊆ S_j]), then with the exact
+    engine on the single-layer slice. *)
+let prop2 ?deadline ?(engine = Cv_verify.Containment.Ladder) ?domains
+    (p : Problem.svudc) =
   match get_abstractions p with
   | None ->
     { Report.name = "prop2";
@@ -107,8 +106,8 @@ let prop2 ?deadline ?(domain = Cv_domains.Analyzer.Symint)
     let result, wall =
       Cv_util.Timer.time (fun () ->
           let s' =
-            Cv_domains.Analyzer.abstractions ?deadline domain net
-              p.Problem.new_din
+            Cv_domains.Analyzer.abstractions ?deadline Cv_domains.Analyzer.Box
+              net p.Problem.new_din
           in
           (* Handoff candidates: j = 1 .. n-1 (0-based S' index j-1,
              target S_{j+1} = s.(j)). *)

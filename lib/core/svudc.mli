@@ -23,15 +23,13 @@ val prop1 :
   Problem.svudc ->
   Report.attempt
 
-(** [prop2 ?domain ?engine ?domains p] — proof reuse at layer [j+1]
-    (Proposition 2): rebuild [S'] on the enlarged domain with the
-    abstract [domain] (default symbolic intervals), then search — in
-    parallel over [domains] workers — for a [j] whose handoff
-    [∀x ∈ S'_j, g_{j+1}(x) ∈ S_{j+1}] holds (free box inclusion first,
-    then the exact engine on the single-layer slice). *)
+(** [prop2 ?engine ?domains p] — proof reuse at layer [j+1]
+    (Proposition 2): rebuild the box chain [S'] on the enlarged domain,
+    then search — in parallel over [domains] workers — for a [j] whose
+    handoff [∀x ∈ S'_j, g_{j+1}(x) ∈ S_{j+1}] holds (free box inclusion
+    first, then the exact engine on the single-layer slice). *)
 val prop2 :
   ?deadline:Cv_util.Deadline.t ->
-  ?domain:Cv_domains.Analyzer.domain_kind ->
   ?engine:Cv_verify.Containment.engine ->
   ?domains:int ->
   Problem.svudc ->

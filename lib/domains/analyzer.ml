@@ -1,21 +1,17 @@
 (** Layer-wise state-abstraction generation.
 
-    Folding an abstract domain over a network yields exactly the paper's
-    proof artifact: state abstractions [S_1, …, S_n] with
-    [∀x ∈ D_in, g_1(x) ∈ S_1], [∀x_i ∈ S_i, g_{i+1}(x_i) ∈ S_{i+1}]
-    (by transformer soundness and monotonicity over the recorded boxes),
-    and the safety check [S_n ⊆ D_out].
-
-    The recorded [S_i] are boxes (per-neuron lower/upper valuations, as
-    produced by ReluVal in the paper's experiment). Note the subtlety:
-    the inductive property "[S_i] steps into [S_{i+1}]" must hold for the
-    {e box} [S_i], not merely for the more precise abstract value passing
-    through — so {!abstractions} re-launches the domain from [to_box] at
-    every layer, which is sound and gives boxes satisfying the paper's
-    definition. {!abstractions_through} instead carries the abstract
-    value through (tighter boxes, but inductive only w.r.t. the carried
-    relational value); both are exposed because the reuse propositions
-    need the former while falsification diagnostics favour the latter.
+    The paper's proof artifact is a chain of boxes [S_1, …, S_n] with
+    [∀x ∈ D_in, g_1(x) ∈ S_1], [∀x_i ∈ S_i, g_{i+1}(x_i) ∈ S_{i+1}],
+    and the safety check [S_n ⊆ D_out]. The recorded [S_i] are boxes
+    (per-neuron lower/upper valuations, as produced by ReluVal in the
+    paper's experiment), and the induction must hold for the {e box}
+    [S_i], not merely for a more precise abstract value passing
+    through. One affine-plus-monotone layer over a box has the interval
+    step as its exact hull, so no domain restarted from [S_i] can do
+    better than {!Box_domain}'s step: {!abstractions} is that step
+    folded over the network. {!output_box} instead carries a chosen
+    domain's relational value through every layer — tighter, but only
+    end to end.
 
     Every entry point resolves the network's layers to their memoized
     kernel-ready form ({!Cv_nn.Network.prepared}) once and drives the
@@ -46,77 +42,24 @@ module Make (D : Transformer.DOMAIN) = struct
 
   let t_seconds = Cv_util.Metrics.timer ("domains." ^ D.name ^ ".seconds")
 
-  (** [abstractions ?widen net din] computes inductive state
-      abstractions [S_1..S_n] as boxes: [S_{i+1}] is the domain's image
-      of the box [S_i], optionally widened by the absolute slack
-      [widen] on every neuron (default 0). Widening keeps the chain
-      inductive — the image is a subset of its own widening — while
-      leaving room for the parameter drift of later fine-tuning, the
-      same engineering practice as the paper's "additional buffers" on
-      [D_in]. Raises [Invalid_argument] on a negative or NaN [widen]. *)
-  let abstractions ?deadline ?(widen = 0.) net din =
-    if not (widen >= 0.) then
-      invalid_arg "Analyzer.abstractions: widen must be >= 0";
+  (* One accounted entry point: a [calls] tick, its time and bytes. *)
+  let entry f =
     Cv_util.Metrics.incr m_calls;
-    Cv_util.Metrics.time t_seconds @@ fun () ->
-    with_alloc_gauge @@ fun () ->
-    let prep = Cv_nn.Network.prepared net in
-    let n = Array.length prep in
-    let result = Array.make n [||] in
-    let box = ref din in
-    for i = 0 to n - 1 do
-      Cv_util.Deadline.check_opt deadline;
-      Cv_util.Metrics.incr m_layers;
-      let s = D.to_box (D.apply_prepared prep.(i) (D.of_box !box)) in
-      let s = if widen > 0. then Cv_interval.Box.expand widen s else s in
-      result.(i) <- s;
-      box := s
-    done;
-    result
+    Cv_util.Metrics.time t_seconds @@ fun () -> with_alloc_gauge f
 
-  (** [abstractions_through net din] carries the abstract value through
-      all layers, recording the concretisation after each — tighter, but
-      only the end-to-end containment [eval x ∈ S_i] is guaranteed, not
-      the per-layer box induction. *)
-  let abstractions_through net din =
-    Cv_util.Metrics.incr m_calls;
-    Cv_util.Metrics.time t_seconds @@ fun () ->
-    with_alloc_gauge @@ fun () ->
-    let prep = Cv_nn.Network.prepared net in
-    let n = Array.length prep in
-    let result = Array.make n [||] in
-    let a = ref (D.of_box din) in
-    for i = 0 to n - 1 do
-      Cv_util.Metrics.incr m_layers;
-      a := D.apply_prepared prep.(i) !a;
-      result.(i) <- D.to_box !a
-    done;
-    result
+  (* One layer step, polling the deadline first. *)
+  let step ?deadline p a =
+    Cv_util.Deadline.check_opt deadline;
+    Cv_util.Metrics.incr m_layers;
+    D.apply_prepared p a
 
-  (** [output_box net din] is the concretised network output reach
-      (relational value carried through — the tightest this domain
-      offers). *)
   let output_box ?deadline net din =
-    Cv_util.Metrics.incr m_calls;
-    Cv_util.Metrics.time t_seconds @@ fun () ->
-    with_alloc_gauge @@ fun () ->
-    let a =
-      Array.fold_left
-        (fun acc p ->
-          Cv_util.Deadline.check_opt deadline;
-          Cv_util.Metrics.incr m_layers;
-          D.apply_prepared p acc)
-        (D.of_box din)
-        (Cv_nn.Network.prepared net)
-    in
-    D.to_box a
-
-  (** [verify net ~din ~dout] is [true] when the carried-through output
-      reach is contained in [dout] — one-shot abstract verification. *)
-  let verify ?deadline net ~din ~dout =
-    Cv_interval.Box.subset_tol (output_box ?deadline net din) dout
-
-  let name = D.name
+    entry @@ fun () ->
+    D.to_box
+      (Array.fold_left
+         (fun a p -> step ?deadline p a)
+         (D.of_box din)
+         (Cv_nn.Network.prepared net))
 end
 
 module Box_analysis = Make (Box_domain)
@@ -125,10 +68,8 @@ module Zonotope_analysis = Make (Zonotope)
 module Deeppoly_analysis = Make (Deeppoly)
 module Star_analysis = Make (Starset)
 
-(** Runtime-selectable domain for CLI/benches. *)
 type domain_kind = Box | Symint | Zonotope | Deeppoly | Star
 
-(** [domain_of_string s] parses a domain name. *)
 let domain_of_string = function
   | "box" -> Box
   | "symint" -> Symint
@@ -137,7 +78,6 @@ let domain_of_string = function
   | "star" -> Star
   | s -> invalid_arg ("Analyzer.domain_of_string: " ^ s)
 
-(** [domain_name k] is the printable name. *)
 let domain_name = function
   | Box -> "box"
   | Symint -> "symint"
@@ -145,17 +85,22 @@ let domain_name = function
   | Deeppoly -> "deeppoly"
   | Star -> "star"
 
-(** [abstractions ?deadline ?widen kind net din] dispatches
-    {!Make.abstractions}. *)
-let abstractions ?deadline ?widen kind net din =
-  match kind with
-  | Box -> Box_analysis.abstractions ?deadline ?widen net din
-  | Symint -> Symint_analysis.abstractions ?deadline ?widen net din
-  | Zonotope -> Zonotope_analysis.abstractions ?deadline ?widen net din
-  | Deeppoly -> Deeppoly_analysis.abstractions ?deadline ?widen net din
-  | Star -> Star_analysis.abstractions ?deadline ?widen net din
+(* [S_{i+1}] is the box step of [S_i], widened by [widen] per neuron:
+   the image is a subset of its own widening, so the chain stays
+   inductive while leaving room for later fine-tuning drift, the same
+   practice as the paper's "additional buffers" on [D_in]. *)
+let abstractions ?deadline ?(widen = 0.) (_ : domain_kind) net din =
+  if not (widen >= 0.) then
+    invalid_arg "Analyzer.abstractions: widen must be >= 0";
+  Box_analysis.entry @@ fun () ->
+  snd
+    (Array.fold_left_map
+       (fun box p ->
+         let s = Box_analysis.step ?deadline p box in
+         let s = if widen > 0. then Cv_interval.Box.expand widen s else s in
+         (s, s))
+       din (Cv_nn.Network.prepared net))
 
-(** [output_box ?deadline kind net din] dispatches {!Make.output_box}. *)
 let output_box ?deadline kind net din =
   match kind with
   | Box -> Box_analysis.output_box ?deadline net din
@@ -163,12 +108,3 @@ let output_box ?deadline kind net din =
   | Zonotope -> Zonotope_analysis.output_box ?deadline net din
   | Deeppoly -> Deeppoly_analysis.output_box ?deadline net din
   | Star -> Star_analysis.output_box ?deadline net din
-
-(** [verify ?deadline kind net ~din ~dout] dispatches {!Make.verify}. *)
-let verify ?deadline kind net ~din ~dout =
-  match kind with
-  | Box -> Box_analysis.verify ?deadline net ~din ~dout
-  | Symint -> Symint_analysis.verify ?deadline net ~din ~dout
-  | Zonotope -> Zonotope_analysis.verify ?deadline net ~din ~dout
-  | Deeppoly -> Deeppoly_analysis.verify ?deadline net ~din ~dout
-  | Star -> Star_analysis.verify ?deadline net ~din ~dout

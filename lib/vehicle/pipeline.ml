@@ -90,7 +90,7 @@ let build ?(config = default_config) () =
   (* 3. D_out from the widened abstraction chain over D_in. *)
   let chain =
     Cv_domains.Analyzer.abstractions ~widen:config.widen
-      Cv_domains.Analyzer.Symint head0 din
+      Cv_domains.Analyzer.Box head0 din
   in
   let dout =
     Cv_interval.Box.expand config.dout_margin (chain.(Array.length chain - 1))

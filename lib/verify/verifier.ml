@@ -129,15 +129,14 @@ type proof_result = {
           ([S_n ⊆ D_out]) *)
 }
 
-(** [verify_with_abstractions ?deadline ?domain ?fallback net prop]
-    first tries the layer-wise abstract analysis (default: symbolic
-    intervals, as in the paper's use of ReluVal): when the resulting
-    [S_n ⊆ D_out], the property is proved {e and} the abstractions form
-    a reusable proof artifact. Otherwise falls back to the exact engine
-    (default MILP) — in which case no inductive box abstraction is
-    produced (the verdict may still be [Proved]). *)
-let verify_with_abstractions ?deadline ?(domain = Cv_domains.Analyzer.Symint)
-    ?(fallback = Containment.Milp) net prop =
+(** [verify_with_abstractions ?deadline ?fallback net prop] first
+    builds the inductive box chain ({!Cv_domains.Analyzer.abstractions}):
+    when its [S_n ⊆ D_out], the property is proved {e and} the chain is
+    a reusable proof artifact, reported under engine [box]. Otherwise
+    falls back to the exact engine (default MILP) — in which case no
+    inductive box abstraction is produced (the verdict may still be
+    [Proved]). *)
+let verify_with_abstractions ?deadline ?(fallback = Containment.Milp) net prop =
   if not (Property.well_formed prop net) then
     invalid_arg "Verifier.verify_with_abstractions: dimension mismatch";
   let (abstractions, abstract_ok), abs_seconds =
@@ -149,8 +148,8 @@ let verify_with_abstractions ?deadline ?(domain = Cv_domains.Analyzer.Symint)
           ~fallback:(fun _ -> (None, false))
           (fun () ->
             match
-              Cv_domains.Analyzer.abstractions ?deadline domain net
-                prop.Property.din
+              Cv_domains.Analyzer.abstractions ?deadline
+                Cv_domains.Analyzer.Box net prop.Property.din
             with
             | s ->
               let ok =
@@ -164,7 +163,7 @@ let verify_with_abstractions ?deadline ?(domain = Cv_domains.Analyzer.Symint)
   if abstract_ok then
     { report =
         { verdict = Containment.Proved;
-          engine = Containment.Abstract domain;
+          engine = Containment.Abstract Cv_domains.Analyzer.Box;
           seconds = abs_seconds };
       abstractions }
   else begin

@@ -46,15 +46,13 @@ type proof_result = {
           ([S_n ⊆ D_out]) *)
 }
 
-(** [verify_with_abstractions ?deadline ?domain ?fallback net prop]
-    first tries the layer-wise abstract analysis (default: symbolic
-    intervals, as in the paper's use of ReluVal): when the resulting
-    [S_n ⊆ D_out], the property is proved {e and} the abstractions form
-    a reusable proof artifact. Otherwise falls back to the exact engine
-    (default MILP). *)
+(** [verify_with_abstractions ?deadline ?fallback net prop] first builds
+    the inductive box chain ({!Cv_domains.Analyzer.abstractions}): when
+    its [S_n ⊆ D_out], the property is proved {e and} the chain is a
+    reusable proof artifact, reported under engine [box]. Otherwise falls
+    back to the exact engine (default MILP). *)
 val verify_with_abstractions :
   ?deadline:Cv_util.Deadline.t ->
-  ?domain:Cv_domains.Analyzer.domain_kind ->
   ?fallback:Containment.engine ->
   Cv_nn.Network.t ->
   Property.t ->

@@ -149,7 +149,7 @@ let test_cache_accounting () =
 let test_chain_widen_key () =
   let cache = Cache.create () in
   let chain widen =
-    Cv_core.Strategy.chain ~cache ~widen Cv_domains.Analyzer.Symint net din
+    Cv_core.Strategy.chain ~cache ~widen net din
   in
   let a = chain 0.02 and b = chain 0.02000001 in
   let s = Cache.stats cache in

@@ -189,23 +189,6 @@ let test_delta_cover_detects_violation () =
   | Cv_core.Report.Inconclusive _ | Cv_core.Report.Exhausted _ -> ()
 
 
-let test_prop2_other_domains () =
-  (* The box rebuild must also succeed (for single layers, the box and
-     symint chains coincide: per-neuron box images are exact). DeepPoly
-     and zonotope chains are NOT expected to work here — their ReLU
-     relaxations can dip below zero, widening the rebuilt chain past the
-     stored one; prop2 then honestly reports inconclusive. *)
-  let net, din, _, artifact = scenario () in
-  let p = Cv_core.Problem.svudc ~net ~artifact ~new_din:(small_enlargement din) in
-  let a = Cv_core.Svudc.prop2 ~domain:Cv_domains.Analyzer.Box p in
-  Alcotest.(check bool) ("box: " ^ a.Cv_core.Report.detail) true
-    (Cv_core.Report.is_safe a);
-  (* Whatever the verdict with a looser domain, it must never be Unsafe. *)
-  let a' = Cv_core.Svudc.prop2 ~domain:Cv_domains.Analyzer.Deeppoly p in
-  (match a'.Cv_core.Report.outcome with
-  | Cv_core.Report.Unsafe _ -> Alcotest.fail "prop2 never proves unsafety"
-  | _ -> ())
-
 let test_strategy_with_split_engine () =
   let net, din, dout, artifact = scenario () in
   let new_din = small_enlargement din in
@@ -590,8 +573,6 @@ let () =
             test_delta_cover_empty_delta;
           Alcotest.test_case "delta-cover violation" `Quick
             test_delta_cover_detects_violation;
-          Alcotest.test_case "prop2 other domains" `Quick
-            test_prop2_other_domains;
           Alcotest.test_case "strategy with split engine" `Quick
             test_strategy_with_split_engine ] );
       ( "svbtv",

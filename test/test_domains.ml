@@ -155,6 +155,11 @@ let test_widen_rejects_negative_and_nan () =
         [ -0.5; Float.nan ])
     Cv_domains.Analyzer.[ Box; Symint; Zonotope; Deeppoly; Star ]
 
+(* One-shot abstract verification, the predicate of
+   [Containment.check (Abstract kind)]. *)
+let abstract_proves kind net ~din ~dout =
+  Cv_interval.Box.subset_tol (Cv_domains.Analyzer.output_box kind net din) dout
+
 let test_verify_dispatch () =
   let net = fig2_net () in
   let din = Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1. in
@@ -165,11 +170,11 @@ let test_verify_dispatch () =
       Alcotest.(check bool)
         (Cv_domains.Analyzer.domain_name kind ^ " proves loose")
         true
-        (Cv_domains.Analyzer.verify kind net ~din ~dout:dout_ok))
+        (abstract_proves kind net ~din ~dout:dout_ok))
     all_domains;
   (* The box domain cannot prove the tight property (reach [0,12]). *)
   Alcotest.(check bool) "box cannot prove tight" false
-    (Cv_domains.Analyzer.verify Cv_domains.Analyzer.Box net ~din ~dout:dout_tight)
+    (abstract_proves Cv_domains.Analyzer.Box net ~din ~dout:dout_tight)
 
 let test_domain_of_string () =
   List.iter
@@ -184,15 +189,78 @@ let test_domain_of_string () =
     Alcotest.fail "should reject"
   with Invalid_argument _ -> ()
 
-(* through-variant is at least as tight as the re-launched chain. *)
+(* Symint carried through the whole net is at least as tight as the
+   box chain's S_n. *)
 let test_through_tighter () =
   let net = random_net ~seed:6 ~dims:[ 3; 8; 6; 1 ] () in
   let din = Cv_interval.Box.uniform 3 ~lo:(-1.) ~hi:1. in
-  let chain = Cv_domains.Analyzer.Symint_analysis.abstractions net din in
-  let through = Cv_domains.Analyzer.Symint_analysis.abstractions_through net din in
-  let n = Array.length chain in
-  Alcotest.(check bool) "through final ⊆ chain final" true
-    (Cv_interval.Box.subset_tol through.(n - 1) chain.(n - 1))
+  let chain = Cv_domains.Analyzer.abstractions Cv_domains.Analyzer.Symint net din in
+  let through = Cv_domains.Analyzer.output_box Cv_domains.Analyzer.Symint net din in
+  Alcotest.(check bool) "symint output_box ⊆ chain S_n" true
+    (Cv_interval.Box.subset_tol through chain.(Array.length chain - 1))
+
+(* The premise of the box chain: one affine-plus-monotone layer over a
+   box has the box step as its exact hull, so every domain restarted
+   from that box contains it, symint reproduces it up to rounding, and
+   the chain does not depend on the kind it is asked for. Nets of one
+   to three layers mix every activation; boxes are random. *)
+let box_step_is_the_hull_prop =
+  let module A = Cv_domains.Analyzer in
+  let acts rng =
+    match Cv_util.Rng.int rng 5 with
+    | 0 -> Cv_nn.Activation.Relu
+    | 1 -> Cv_nn.Activation.Leaky_relu (Cv_util.Rng.float rng ~lo:0. ~hi:1.)
+    | 2 -> Cv_nn.Activation.Identity
+    | 3 -> Cv_nn.Activation.Sigmoid
+    | _ -> Cv_nn.Activation.Tanh
+  in
+  let restarted (module D : Cv_domains.Transformer.DOMAIN) l b =
+    D.to_box (D.apply_layer l (D.of_box b))
+  in
+  let close a b =
+    Float.abs (a -. b) <= 1e-12 *. Float.max 1. (Float.max (Float.abs a) (Float.abs b))
+  in
+  let bits c =
+    Array.map
+      (fun b ->
+        Array.map Int64.bits_of_float
+          (Array.append (Cv_interval.Box.lower b) (Cv_interval.Box.upper b)))
+      c
+  in
+  QCheck.Test.make ~name:"box step is the hull of every one-layer restart"
+    ~count:200 (QCheck.int_bound 1_000_000) (fun seed ->
+      let rng = Cv_util.Rng.create seed in
+      let n = 1 + Cv_util.Rng.int rng 3 in
+      let dims = Array.init (n + 1) (fun _ -> 1 + Cv_util.Rng.int rng 5) in
+      let net =
+        Cv_nn.Network.make
+          (Array.init n (fun i ->
+               Cv_nn.Layer.random ~rng ~in_dim:dims.(i) ~out_dim:dims.(i + 1)
+                 (acts rng)))
+      in
+      let din =
+        Cv_interval.Box.make
+          (Array.init dims.(0) (fun _ ->
+               let c = Cv_util.Rng.float rng ~lo:(-2.) ~hi:2.
+               and r = Cv_util.Rng.float rng ~lo:0. ~hi:2. in
+               Cv_interval.Interval.make (c -. r) (c +. r)))
+      in
+      let chain = A.abstractions A.Box net din in
+      List.for_all (fun k -> bits (A.abstractions k net din) = bits chain) all_domains
+      && List.for_all
+           (fun i ->
+             let l = Cv_nn.Network.layer net i and step = chain.(i) in
+             let b = if i = 0 then din else chain.(i - 1) in
+             let sym = restarted (module Cv_domains.Symint) l b in
+             Array.for_all2 close (Cv_interval.Box.lower sym) (Cv_interval.Box.lower step)
+             && Array.for_all2 close (Cv_interval.Box.upper sym) (Cv_interval.Box.upper step)
+             && List.for_all
+                  (fun d -> Cv_interval.Box.subset_tol ~tol:1e-9 step (restarted d l b))
+                  [ (module Cv_domains.Symint : Cv_domains.Transformer.DOMAIN);
+                    (module Cv_domains.Zonotope);
+                    (module Cv_domains.Deeppoly);
+                    (module Cv_domains.Starset) ])
+           (List.init n Fun.id))
 
 (* Zonotope generator growth stays bounded by unstable relus. *)
 let test_zonotope_generator_growth () =
@@ -338,7 +406,8 @@ let () =
       ( "precision",
         [ Alcotest.test_case "relational <= box" `Quick test_precision_ordering;
           Alcotest.test_case "through tighter than chain" `Quick
-            test_through_tighter ] );
+            test_through_tighter;
+          QCheck_alcotest.to_alcotest box_step_is_the_hull_prop ] );
       ("chain-induction", chain_cases);
       ( "analyzer",
         [ Alcotest.test_case "widening contains plain" `Quick

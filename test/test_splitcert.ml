@@ -264,6 +264,36 @@ let test_leaf_reuse_requires_cert () =
   Alcotest.(check bool) "inconclusive without cert" true
     (not (Cv_core.Report.is_safe (Cv_core.Svbtv.leaf_reuse p)))
 
+(* Leaf reuse revalidates through Split_cert.revalidate, so a Safe
+   attempt checks, and counts, every stored leaf exactly once. The
+   certificate targets the exact range plus 0.2, tighter than the
+   one-shot symint reach, so the proof splits (8 leaves). *)
+let test_leaf_reuse_counts_leaves () =
+  let old_net, net', din, dout, _ = svbtv_with_cert ~drift_sigma:0.001 in
+  let target =
+    Cv_interval.Box.expand 0.2
+      (Cv_verify.Range.exact_range old_net ~din).Cv_verify.Range.range
+  in
+  let cert =
+    Option.get (Cv_verify.Split_cert.prove old_net ~input_box:din ~target)
+  in
+  let artifact =
+    Cv_artifacts.Artifacts.make ~split_cert:cert
+      ~property:(Cv_verify.Property.make ~din ~dout)
+      ~net:old_net ~solver:"split" ~solve_seconds:1. ()
+  in
+  let p = Cv_core.Problem.svbtv ~old_net ~new_net:net' ~artifact ~new_din:din in
+  let checked = Cv_util.Metrics.counter "splitcert.leaves_checked" in
+  let before = Cv_util.Metrics.value checked in
+  let a = Cv_core.Svbtv.leaf_reuse p in
+  Alcotest.(check bool) ("leaf-reuse: " ^ a.Cv_core.Report.detail) true
+    (Cv_core.Report.is_safe a);
+  Alcotest.(check bool) "the proof split" true
+    (Cv_verify.Split_cert.num_leaves cert > 1);
+  Alcotest.(check int) "splitcert.leaves_checked rises by num_leaves"
+    (Cv_verify.Split_cert.num_leaves cert)
+    (Cv_util.Metrics.value checked - before)
+
 let test_artifact_persists_cert () =
   let _, _, _, _, artifact = svbtv_with_cert ~drift_sigma:0.001 in
   let artifact' =
@@ -296,5 +326,7 @@ let () =
           Alcotest.test_case "with enlargement" `Quick
             test_leaf_reuse_with_enlargement;
           Alcotest.test_case "requires cert" `Quick test_leaf_reuse_requires_cert;
+          Alcotest.test_case "counts its leaves" `Quick
+            test_leaf_reuse_counts_leaves;
           Alcotest.test_case "artifact persistence" `Quick
             test_artifact_persists_cert ] ) ]
