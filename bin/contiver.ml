@@ -107,8 +107,9 @@ let emit_cert_arg =
           "After the run, emit a standalone proof certificate to $(docv): a \
            self-contained document (network, claim and proof inside) that \
            $(b,contiver check) replays with outward-rounded interval \
-           arithmetic only. Best-effort: a verdict outside the certifiable \
-           fragment prints a warning and writes nothing.")
+           arithmetic only. Best-effort: an unknown verdict, or a claim no \
+           emitter closes within its budget, prints a warning and writes \
+           nothing.")
 
 (* Safe-network emission ladder: the interval chain / split tree first
    (cheap, covers most proved properties), the MILP goal certificates
@@ -164,8 +165,8 @@ let emit_cert_to ?cache ~din path = function
   | Some cert -> write_cert ?cache ~din path cert
   | None ->
     Printf.eprintf
-      "contiver: warning: no certificate emitted (verdict outside the \
-       certifiable fragment)\n\
+      "contiver: warning: no certificate emitted (the verdict is unknown, \
+       or no emitter closed the claim within its budget)\n\
        %!"
 
 (* ------------------------------------------------------------------ *)

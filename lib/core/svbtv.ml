@@ -160,9 +160,10 @@ let default_anchors n =
 
 (** [leaf_reuse ?domains p] — revalidate a stored bisection certificate
     (the ReluVal-style split-tree artifact) against the fine-tuned
-    network: one-shot symbolic intervals per leaf, no new splitting,
-    embarrassingly parallel. Each leaf was chosen to make the
-    abstraction tight there, so small parameter drift usually passes.
+    network: one-shot symbolic intervals per leaf, embarrassingly
+    parallel. Each leaf was chosen to make the abstraction tight there,
+    so small parameter drift usually passes, and the leaves that fail
+    are re-split under one shared budget ({!Cv_verify.Split_cert.repair}).
     Covers the certificate's domain; any genuine enlargement beyond it
     is checked with the splitting engine on the new network. *)
 let leaf_reuse ?deadline ?domains (p : Problem.svbtv) =
@@ -182,40 +183,56 @@ let leaf_reuse ?deadline ?domains (p : Problem.svbtv) =
         ( Report.Inconclusive
             "certificate target does not imply the property",
           "" )
-      else if not (Cv_verify.Split_cert.revalidate ?domains cert p.Problem.new_net)
-      then (Report.Inconclusive "some leaf fails for the new network", "")
-      else begin
-        (* Leaves cover the certified domain; handle any enlargement
-           beyond it with the splitting engine on the new network. *)
-        let cert_box = cert.Cv_verify.Split_cert.input_box in
-        if Cv_interval.Box.subset_tol p.Problem.new_din cert_box then
-          ( Report.Safe,
-            Printf.sprintf "%d leaves revalidated"
-              (Cv_verify.Split_cert.num_leaves cert) )
-        else begin
-          (* Only the enlargement slabs need fresh proving. *)
-          let slabs =
-            Svudc.enlargement_slabs ~old_box:cert_box
-              ~new_box:p.Problem.new_din
-          in
-          let all_ok =
-            Array.for_all
-              (fun (_, slab) ->
-                Cv_verify.Split_cert.prove ?deadline ~budget:512
-                  p.Problem.new_net ~input_box:slab ~target:dout_box
-                <> None)
-              slabs
-          in
-          if all_ok then
-            ( Report.Safe,
-              Printf.sprintf "%d leaves + %d enlargement slabs"
+      else
+        match
+          Cv_verify.Split_cert.repair_detailed ?deadline ?domains cert
+            p.Problem.new_net
+        with
+        | None ->
+          ( Report.Inconclusive
+              "failed leaves could not be re-split within the budget",
+            "" )
+        | Some (repaired, failed) ->
+          let leaves =
+            match failed with
+            | [] ->
+              Printf.sprintf "%d leaves revalidated"
                 (Cv_verify.Split_cert.num_leaves cert)
-                (Array.length slabs) )
-          else
-            ( Report.Inconclusive "an enlargement slab was not proved",
-              "" )
-        end
-      end
+            | _ ->
+              Printf.sprintf "%d leaves revalidated, %d re-split into %d"
+                (Cv_verify.Split_cert.num_leaves cert)
+                (List.length failed)
+                (Cv_verify.Split_cert.num_leaves repaired
+                - Cv_verify.Split_cert.num_leaves cert
+                + List.length failed)
+          in
+          (* Leaves cover the certified domain; handle any enlargement
+             beyond it with the splitting engine on the new network. *)
+          let cert_box = cert.Cv_verify.Split_cert.input_box in
+          if Cv_interval.Box.subset_tol p.Problem.new_din cert_box then
+            (Report.Safe, leaves)
+          else begin
+            (* Only the enlargement slabs need fresh proving. *)
+            let slabs =
+              Svudc.enlargement_slabs ~old_box:cert_box
+                ~new_box:p.Problem.new_din
+            in
+            let all_ok =
+              Array.for_all
+                (fun (_, slab) ->
+                  Cv_verify.Split_cert.prove ?deadline ~budget:512
+                    p.Problem.new_net ~input_box:slab ~target:dout_box
+                  <> None)
+                slabs
+            in
+            if all_ok then
+              ( Report.Safe,
+                Printf.sprintf "%s + %d enlargement slabs" leaves
+                  (Array.length slabs) )
+            else
+              ( Report.Inconclusive "an enlargement slab was not proved",
+                "" )
+          end
     in
     let (outcome, detail), wall = Cv_util.Timer.time run in
     { Report.name = "leaf-reuse";

@@ -60,9 +60,9 @@ val default_anchors : int -> int list
 
 (** [leaf_reuse ?domains p] — revalidate a stored bisection certificate
     (the ReluVal-style split-tree artifact) against the fine-tuned
-    network ({!Cv_verify.Split_cert.revalidate}: one-shot symbolic
-    intervals per leaf, no new splitting, embarrassingly parallel);
-    genuine enlargement beyond the certified domain is covered by
-    freshly split slabs. *)
+    network and re-split only the leaves that fail
+    ({!Cv_verify.Split_cert.repair}, default budget: one-shot symbolic
+    intervals per leaf, embarrassingly parallel); genuine enlargement
+    beyond the certified domain is covered by freshly split slabs. *)
 val leaf_reuse :
   ?deadline:Cv_util.Deadline.t -> ?domains:int -> Problem.svbtv -> Report.attempt

@@ -3,54 +3,14 @@ module Cert = Cv_cert.Cert
 
 type extraction = { ex_witness : Cert.lp_witness; ex_value : float }
 
-let snapshot_system ~xu st =
+let snapshot compiled =
+  let st = Lp.compiled_state compiled in
   {
     Cert.lp_a = Simplex.system_rows st;
     lp_b = Simplex.system_rhs st;
     lp_c = Simplex.system_obj st;
-    lp_xu = Array.copy xu;
+    lp_xu = Lp.compiled_uppers compiled;
   }
-
-(* Solve the dense m×m system [M z = rhs] by Gaussian elimination with
-   partial pivoting; [None] when a pivot degenerates. Destroys [mat]. *)
-let solve_dense mat rhs =
-  let m = Array.length rhs in
-  let z = Array.copy rhs in
-  let ok = ref true in
-  (try
-     for k = 0 to m - 1 do
-       let piv = ref k in
-       for i = k + 1 to m - 1 do
-         if Float.abs mat.(i).(k) > Float.abs mat.(!piv).(k) then piv := i
-       done;
-       if Float.abs mat.(!piv).(k) < 1e-12 then raise Exit;
-       if !piv <> k then begin
-         let t = mat.(k) in
-         mat.(k) <- mat.(!piv);
-         mat.(!piv) <- t;
-         let t = z.(k) in
-         z.(k) <- z.(!piv);
-         z.(!piv) <- t
-       end;
-       for i = k + 1 to m - 1 do
-         let f = mat.(i).(k) /. mat.(k).(k) in
-         if f <> 0. then begin
-           for j = k to m - 1 do
-             mat.(i).(j) <- mat.(i).(j) -. (f *. mat.(k).(j))
-           done;
-           z.(i) <- z.(i) -. (f *. z.(k))
-         end
-       done
-     done;
-     for k = m - 1 downto 0 do
-       let s = ref z.(k) in
-       for j = k + 1 to m - 1 do
-         s := !s -. (mat.(k).(j) *. z.(j))
-       done;
-       z.(k) <- !s /. mat.(k).(k)
-     done
-   with Exit -> ok := false);
-  if !ok && Ival.all_finite z then Some z else None
 
 (* Outward validation — the same obligations {!Cv_cert.Check} replays. *)
 let column_dot_up (a : float array array) j z =
@@ -65,7 +25,7 @@ let column_dot_up (a : float array array) j z =
    basic column binds its dual inequality exactly, so outward rounding
    leaves a few-ulp residual of the wrong sign; charge it its worst
    case over the column's [0, xu] range instead of rejecting. *)
-let valid_farkas (sys : Cert.lp_system) z =
+let valid_farkas (sys : Cert.lp_system) b z =
   let n = Array.length sys.lp_c in
   let s = ref 0. in
   let ok = ref (Ival.all_finite z) in
@@ -76,14 +36,14 @@ let valid_farkas (sys : Cert.lp_system) z =
         s := Ival.up (!s +. Ival.up (cu *. sys.lp_xu.(j)))
       else ok := false
   done;
-  !ok && Ival.dot_dn sys.lp_b z > !s
+  !ok && Ival.dot_dn b z > !s
 
 (* The compensated weak-duality bound — exactly the value the checker
    recomputes, so using it as the claim target is replay-stable. *)
-let dual_bound (sys : Cert.lp_system) z =
+let dual_bound (sys : Cert.lp_system) b z =
   let n = Array.length sys.lp_c in
   let ok = ref (Ival.all_finite z) in
-  let bound = ref (Ival.dot_dn sys.lp_b z) in
+  let bound = ref (Ival.dot_dn b z) in
   for j = 0 to n - 1 do
     let r_lo = Ival.dn (sys.lp_c.(j) -. column_dot_up sys.lp_a j z) in
     if r_lo < 0. then
@@ -93,62 +53,20 @@ let dual_bound (sys : Cert.lp_system) z =
   done;
   if !ok && Float.is_finite !bound then Some !bound else None
 
-(* Multipliers off a final basis: solve [B_origᵀ z = cost_B] in the
-   {e original} row space. Because the working rows are
-   [S·(pristine rows)] with [S = diag (row_signs)] diagonal,
-   [B̂ᵀy = c_B] in the sign-fixed space is exactly
-   [B_origᵀ(Sy) = c_B] — so this solve directly yields the witness
-   [Sy], no sign fix-up needed. Artificial column [n + k] is
-   [row_signs.(r)·e_r] in original space, [r] its creation row. *)
-let multipliers st cost_b =
-  let m = Simplex.num_rows st in
-  let n = Simplex.num_cols st in
-  let rows = Simplex.system_rows st in
-  let signs = Simplex.row_signs st in
-  let art = Simplex.artificial_rows st in
-  let basis = Simplex.final_basis st in
-  match
-    Array.map
-      (fun j ->
-        if j < n then Array.init m (fun i -> rows.(i).(j))
-        else begin
-          let k = j - n in
-          if k >= Array.length art || art.(k) < 0 then raise Exit;
-          let v = Array.make m 0. in
-          v.(art.(k)) <- signs.(art.(k));
-          v
-        end)
-      basis
-  with
-  | mat -> solve_dense mat (Array.map cost_b basis)
-  | exception Exit -> None
-
-let certify_state ?max_iters ~xu st =
-  let sys = snapshot_system ~xu st in
-  (* Fresh cold solve on the snapshot: its final basis is the one the
-     multipliers are read from, so the live state's warm-path history is
-     irrelevant. *)
-  let fresh =
-    Simplex.make ~a:sys.Cert.lp_a ~b:sys.lp_b ~c:sys.lp_c
-      ~basis0:(Simplex.initial_basis st)
-  in
-  match Simplex.resolve ?max_iters fresh with
-  | Simplex.Infeasible ->
-    let n = Simplex.num_cols fresh in
-    Option.bind (multipliers fresh (fun j -> if j >= n then 1. else 0.))
-      (fun z ->
-        if valid_farkas sys z then
-          Some { ex_witness = Cert.Farkas z; ex_value = Float.infinity }
-        else None)
-  | Simplex.Optimal _ ->
-    let n = Simplex.num_cols fresh in
-    Option.bind
-      (multipliers fresh (fun j -> if j < n then sys.Cert.lp_c.(j) else 0.))
-      (fun z ->
-        Option.map
-          (fun b -> { ex_witness = Cert.Dual_bound z; ex_value = b })
-          (dual_bound sys z))
-  | Simplex.Unbounded | Simplex.Stalled -> None
+(* The last verdict's witness ({!Simplex.witness}), validated against
+   [sys]'s matrix and objective with the state's current rhs — a
+   branch-tree leaf's own rhs, while [sys] is its goal's base
+   snapshot. *)
+let extract (sys : Cert.lp_system) st =
+  let b = Simplex.system_rhs st in
+  match Simplex.witness st with
+  | Some (Simplex.Ray z) when valid_farkas sys b z ->
+    Some { ex_witness = Cert.Farkas z; ex_value = Float.infinity }
+  | Some (Simplex.Dual y) ->
+    Option.map
+      (fun v -> { ex_witness = Cert.Dual_bound y; ex_value = v })
+      (dual_bound sys b y)
+  | Some (Simplex.Ray _) | None -> None
 
 let validated cert =
   match Cv_cert.Check.check cert with
@@ -156,18 +74,19 @@ let validated cert =
   | Invalid _ -> None
 
 let lp_certificate ?max_iters ~mode ~solver ~fingerprint compiled =
-  let st = Lp.compiled_state compiled in
-  let xu = Lp.compiled_uppers compiled in
-  Option.bind (certify_state ?max_iters ~xu st) (fun ex ->
-      let sys = snapshot_system ~xu st in
-      let claim, proof =
-        match ex.ex_witness with
-        | Cert.Farkas z -> (Cert.Lp_infeasible sys, Cert.P_farkas z)
-        | Cert.Dual_bound z ->
-          ( Cert.Lp_min_at_least (sys, ex.ex_value),
-            Cert.P_dual { dual = z; bound = ex.ex_value } )
-      in
-      validated { Cert.mode; solver; fingerprint; claim; proof })
+  let sys = snapshot compiled in
+  match Lp.solve_compiled ?max_iters compiled with
+  | Lp.Unbounded | Lp.Stalled -> None
+  | Lp.Optimal _ | Lp.Infeasible ->
+    Option.bind (extract sys (Lp.compiled_state compiled)) (fun ex ->
+        let claim, proof =
+          match ex.ex_witness with
+          | Cert.Farkas z -> (Cert.Lp_infeasible sys, Cert.P_farkas z)
+          | Cert.Dual_bound z ->
+            ( Cert.Lp_min_at_least (sys, ex.ex_value),
+              Cert.P_dual { dual = z; bound = ex.ex_value } )
+        in
+        validated { Cert.mode; solver; fingerprint; claim; proof })
 
 type branch_result = {
   br_system : Cert.lp_system;
@@ -178,7 +97,8 @@ type branch_result = {
 
 exception Give_up
 
-let branch_and_certify ?(max_nodes = 512) ?max_iters compiled ~binaries =
+let branch_and_certify ?(max_nodes = 512) ?max_iters ?target compiled
+    ~binaries =
   let binaries = Array.of_list binaries in
   let relax_all () =
     Array.iter
@@ -200,11 +120,33 @@ let branch_and_certify ?(max_nodes = 512) ?max_iters compiled ~binaries =
        the checker re-derives each leaf's rhs from the path fixings.
        The compile-time column bounds stay valid at every leaf — rhs
        tightening only shrinks the feasible set. *)
-    let xu = Lp.compiled_uppers compiled in
-    let base = snapshot_system ~xu (Lp.compiled_state compiled) in
+    let st = Lp.compiled_state compiled in
+    let base = snapshot compiled in
+    (* Nodes are solved in the model's frame; [std] maps a model
+       objective back to the standard form the target lives in. With a
+       target, a warm solve may stop as soon as weak duality puts the
+       node a hair past it. *)
+    let sign, shift = Lp.compiled_frame compiled in
+    let std v = (sign *. v) -. shift in
+    let bound_cutoff =
+      Option.map
+        (fun t -> sign *. (t +. (1e-6 *. (1. +. Float.abs t)) +. shift))
+        target
+    in
+    let reaches v = match target with Some t -> v >= t | None -> true in
     let nodes = ref 0 in
     let bound = ref Float.infinity in
     let is_frac x = Float.abs (x -. Float.round x) > 1e-6 in
+    let leaf () =
+      match extract base st with
+      | Some ex when reaches ex.ex_value ->
+        bound := Float.min !bound ex.ex_value;
+        Some (Cert.Milp_leaf ex.ex_witness)
+      | Some _ | None -> None
+    in
+    (* An integral node short of the target is a counterexample to the
+       claim, and a witness that fails validation ends the search too. *)
+    let close () = match leaf () with Some l -> l | None -> raise Give_up in
     let rec go fixings remaining =
       incr nodes;
       if !nodes > max_nodes then raise Give_up;
@@ -212,43 +154,49 @@ let branch_and_certify ?(max_nodes = 512) ?max_iters compiled ~binaries =
         (fun (k, v) ->
           Lp.set_bounds_compiled compiled binaries.(k) ~lo:v ~hi:v)
         fixings;
-      let relax = Lp.solve_compiled ?max_iters compiled in
-      let leaf () =
-        match certify_state ?max_iters ~xu (Lp.compiled_state compiled) with
-        | Some ex ->
-          bound := Float.min !bound ex.ex_value;
-          Cert.Milp_leaf ex.ex_witness
-        | None -> raise Give_up
-      in
-      let branch k rest =
-        let node v =
-          let t = go ((k, v) :: fixings) rest in
-          Lp.set_bounds_compiled compiled binaries.(k) ~lo:0. ~hi:1.;
-          t
-        in
-        let zero = node 0. in
-        let one = node 1. in
-        Cert.Milp_branch { bin = k; zero; one }
-      in
-      match relax with
-      | Lp.Infeasible -> leaf ()
-      | Lp.Optimal { values; _ } -> (
-        (* Fathom integral relaxations with a dual witness; branch on
-           the first fractional binary otherwise. *)
+      (* Branch on the first fractional binary of an optimal node. *)
+      let split values =
         match
           List.find_opt (fun k -> is_frac values.(binaries.(k))) remaining
         with
-        | None -> leaf ()
-        | Some k -> branch k (List.filter (fun k' -> k' <> k) remaining))
+        | None -> close ()
+        | Some k ->
+          let rest = List.filter (( <> ) k) remaining in
+          let node v =
+            let t = go ((k, v) :: fixings) rest in
+            Lp.set_bounds_compiled compiled binaries.(k) ~lo:0. ~hi:1.;
+            t
+          in
+          let zero = node 0. in
+          let one = node 1. in
+          Cert.Milp_branch { bin = k; zero; one }
+      in
+      match Lp.solve_compiled ?max_iters ?bound_cutoff compiled with
+      | Lp.Infeasible -> close ()
       | Lp.Unbounded | Lp.Stalled -> raise Give_up
+      | Lp.Optimal { objective; values } -> (
+        match target with
+        | Some t when std objective >= t -> (
+          (* The node may already be closed at the target. Its values
+             can come from a solve stopped at the cutoff, so a node
+             that falls short after validation is first solved to
+             optimality. *)
+          match leaf () with
+          | Some l -> l
+          | None -> (
+            match Lp.solve_compiled ?max_iters compiled with
+            | Lp.Optimal { values; _ } -> split values
+            | Lp.Infeasible -> close ()
+            | Lp.Unbounded | Lp.Stalled -> raise Give_up))
+        | Some _ | None -> split values)
     in
     let all = List.init (Array.length binaries) Fun.id in
     let tree = go [] all in
     relax_all ();
-    if Float.is_finite !bound || !bound = Float.infinity then
-      { br_system = base; br_binaries = bins; br_tree = tree;
-        br_bound = (if !bound = Float.infinity then 0. else !bound) }
-    else raise Give_up
+    (* With every leaf infeasible the claim holds vacuously. *)
+    let vacuous = Option.value target ~default:0. in
+    { br_system = base; br_binaries = bins; br_tree = tree;
+      br_bound = (if !bound = Float.infinity then vacuous else !bound) }
   with
   | r -> Some r
   | exception Give_up ->

@@ -1,38 +1,22 @@
 (** LP witness extraction — the untrusted producer of {!Cv_cert}
     LP-level certificates.
 
-    Extraction never inspects the live solver tableau: it snapshots the
-    pristine system out of a {!Simplex.state}, re-solves it {e cold} on
-    a fresh state, and reads the witness off that solve's final basis by
-    solving [Bᵀz = c_B] with its own Gaussian elimination. The witness
-    is then validated with outward-rounded arithmetic (the checker's
-    obligations) before being handed out — extraction failures degrade
-    emission, never soundness. *)
+    A witness is the multiplier vector behind the simplex's own verdict
+    ({!Simplex.witness}): the vector a warm solve's certification
+    already computed and checked, or for a cold verdict the same
+    singleton-reduced LU of the final basis, solved on demand. Each
+    witness is then validated with outward-rounded arithmetic (the
+    checker's obligations) against the certificate's system with the
+    solve's own right-hand side before being handed out — extraction
+    failures degrade emission, never soundness. *)
 
-(** One validated witness. [ex_value] is the outward-certified
-    standard-form objective lower bound for a {!Cv_cert.Cert.Dual_bound}
-    (the Neumaier–Shcherbina-compensated [dn(b·z)]) and [+∞] for a
-    {!Cv_cert.Cert.Farkas} (an infeasible system bounds every
-    objective). *)
-type extraction = { ex_witness : Cv_cert.Cert.lp_witness; ex_value : float }
-
-(** [snapshot_system ~xu st] copies the state's pristine system (with
-    its {e current} right-hand side) into certificate form; [xu] is the
-    per-column upper bound ({!Lp.compiled_uppers}) the checker
-    compensates against. *)
-val snapshot_system : xu:float array -> Simplex.state -> Cv_cert.Cert.lp_system
-
-(** [certify_state ~xu st] re-solves [snapshot_system ~xu st] cold and
-    extracts a Farkas witness (infeasible) or a dual bound (optimal).
-    [None] on stall, unboundedness, a singular basis or a witness that
-    fails its outward validation. *)
-val certify_state :
-  ?max_iters:int -> xu:float array -> Simplex.state -> extraction option
-
-(** [lp_certificate ~mode ~solver ~fingerprint c] wraps
-    {!certify_state} on the compiled model as a full self-validated
-    certificate: {!Cv_cert.Cert.Lp_infeasible} + {!Cv_cert.Cert.P_farkas}, or
-    {!Cv_cert.Cert.Lp_min_at_least} + {!Cv_cert.Cert.P_dual} at the certified bound. *)
+(** [lp_certificate ~mode ~solver ~fingerprint c] solves the compiled
+    model and wraps its verdict's validated witness as a full
+    self-validated certificate: {!Cv_cert.Cert.Lp_infeasible} +
+    {!Cv_cert.Cert.P_farkas}, or {!Cv_cert.Cert.Lp_min_at_least} +
+    {!Cv_cert.Cert.P_dual} at the certified bound. [None] on stall,
+    unboundedness, a singular basis or a witness that fails its outward
+    validation. *)
 val lp_certificate :
   ?max_iters:int ->
   mode:string ->
@@ -53,16 +37,28 @@ type branch_result = {
   br_bound : float;
 }
 
-(** [branch_and_certify c ~binaries] runs a small branch-and-bound over
-    [binaries] (fixing through {!Lp.set_bounds_compiled}, the PR 4
-    re-bounding seam), extracting a witness at every fathomed leaf.
-    Branches on fractional binaries only, so in exact arithmetic
-    [br_bound] is the MILP optimum. [max_nodes] bounds the tree
-    (default 512). The compiled model is left with all binaries
-    relaxed. *)
+(** [branch_and_certify c ~binaries] runs a small depth-first
+    branch-and-bound over [binaries] (fixing through
+    {!Lp.set_bounds_compiled}), branching on the first fractional binary
+    and taking each leaf's witness from the solve that closed it.
+
+    Without [target] a node closes only when it is infeasible or its
+    relaxation is integral, so in exact arithmetic [br_bound] is the
+    MILP optimum. With [target] (a standard-form bound, in
+    {!Lp.compiled_frame}'s frame) each node is solved with a cutoff a
+    hair past it, and closes as soon as it is infeasible or its
+    validated witness reaches [target]: the search branches only while
+    a node can still fall below [target], and [br_bound ≥ target] is
+    the least leaf value, not the optimum. An integral node short of
+    [target] refutes it ([None]).
+
+    [br_bound] is [target] (or 0) when every leaf is infeasible.
+    [max_nodes] bounds the tree (default 512). The compiled model is
+    left with all binaries relaxed. *)
 val branch_and_certify :
   ?max_nodes:int ->
   ?max_iters:int ->
+  ?target:float ->
   Lp.compiled ->
   binaries:Lp.var list ->
   branch_result option

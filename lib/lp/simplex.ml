@@ -81,6 +81,13 @@ let t_cold = Cv_util.Metrics.timer "lp.cold.seconds"
 
 let t_primal = Cv_util.Metrics.timer "lp.primal.seconds"
 
+type witness = Dual of float array | Ray of float array
+
+(* What certifies the last verdict: the multipliers a warm verdict's
+   certification computed, kept as they are, or a cold verdict whose
+   multipliers {!witness} solves for only when asked. *)
+type proof = No_proof | Kept of witness | Cold_optimal | Cold_infeasible
+
 (* The state keeps the pristine system ([sa]/[sb]/[sc], row-major) for
    cold rebuilds next to the working tableau. [basis0.(i) = Some (j, s)]
    promises that structural column [j] has coefficient [s] (±1) in row
@@ -126,6 +133,9 @@ type state = {
       (** creation row of each artificial column appended by the last
           {!cold_build}: column [n + k] was seeded for row
           [art_row.(k)] *)
+  mutable proof : proof;
+      (** the last {!resolve}'s witness; any rhs or cost change drops
+          it *)
 }
 
 let make ~a ~b ~c ~basis0 =
@@ -181,6 +191,7 @@ let make ~a ~b ~c ~basis0 =
     since_cold = 0;
     rowsign = Array.make (max 1 m) 1.;
     art_row = Array.make (max 1 art0) (-1);
+    proof = No_proof;
   }
 
 let copy_state st =
@@ -206,6 +217,7 @@ let set_rhs st ~row v =
   let old = st.sb.(row) in
   if v <> old then begin
     st.sb.(row) <- v;
+    st.proof <- No_proof;
     (* A repriced basis is only primal-feasible for the rhs it was
        repriced against. *)
     if st.restart then begin
@@ -515,6 +527,7 @@ let install_objective st cost =
 let set_cost st c =
   if Array.length c <> st.n then invalid_arg "Simplex.set_cost: length";
   st.sc <- Array.copy c;
+  st.proof <- No_proof;
   let reusable = ref st.warm in
   for i = 0 to st.m - 1 do
     if st.rhs.(i) < -.tol then reusable := false
@@ -549,7 +562,9 @@ let extract st =
    A failed certificate falls back to the cold two-phase path (counted
    as a fallback), so tableau drift can only ever cost performance, and
    refreshing the rhs from the factorisation on success stops the drift
-   from compounding. *)
+   from compounding. A passed certificate keeps its [y] (or [−z]) as the
+   verdict's {!witness}, so a certificate emitter reads the multipliers
+   this check already validated instead of factorising again. *)
 
 (* A straight m×m factorisation would cost O(m³) per certified solve
    and dominate the warm path. But most basic columns are slacks —
@@ -569,9 +584,10 @@ type lu = {
 }
 
 (* Factorise the current basis against the pristine [sa]: singleton
-   reduction, then dense LU with partial pivoting on the kernel. [None]
-   when the basis holds an artificial column or is numerically
-   singular. *)
+   reduction, then dense LU with partial pivoting on the kernel. An
+   artificial column (basic only after a cold solve) is the singleton
+   [rowsign_r·e_r] of its creation row [r] in the pristine row space.
+   [None] when the basis is numerically singular. *)
 let lu_factor st =
   let m = st.m in
   let rowtaken = Array.make (max 1 m) false in
@@ -579,15 +595,19 @@ let lu_factor st =
   let ok = ref true in
   for k = 0 to m - 1 do
     let j = st.basis.(k) in
-    if j >= st.n then ok := false
-    else
-      match st.singleton.(j) with
-      | Some (r, coeff) when not rowtaken.(r) ->
-        rowtaken.(r) <- true;
-        incr nelim;
-        elim := (r, k, coeff) :: !elim
-      | Some _ -> ok := false (* two singletons on one row: singular *)
-      | None -> kpos := k :: !kpos
+    let single =
+      if j < st.n then st.singleton.(j)
+      else
+        let r = st.art_row.(j - st.n) in
+        Some (r, st.rowsign.(r))
+    in
+    match single with
+    | Some (r, coeff) when not rowtaken.(r) ->
+      rowtaken.(r) <- true;
+      incr nelim;
+      elim := (r, k, coeff) :: !elim
+    | Some _ -> ok := false (* two singletons on one row: singular *)
+    | None -> kpos := k :: !kpos
   done;
   if not !ok then None
   else begin
@@ -788,6 +808,7 @@ let certify_warm st verdict =
             o := !o +. (cb.(k) *. x.(k))
           done;
           st.rhs.(st.m) <- -. !o;
+          st.proof <- Kept (Dual y);
           Some (extract st)
         end
       end
@@ -808,6 +829,7 @@ let certify_warm st verdict =
             st.rhs.(k) <- x.(k)
           done;
           st.rhs.(st.m) <- -. !dv;
+          st.proof <- Kept (Dual y);
           Some (extract st)
         end
         else None
@@ -845,7 +867,11 @@ let certify_warm st verdict =
           zb := !zb +. t;
           zscale := !zscale +. Float.abs t
         done;
-        if !zb < -1e-7 *. (1. +. !zscale) then Some Infeasible else None
+        if !zb < -1e-7 *. (1. +. !zscale) then begin
+          st.proof <- Kept (Ray (Array.map Float.neg z));
+          Some Infeasible
+        end
+        else None
       end)
 
 (* Cold path: rebuild, phase 1 if artificials were needed, drive
@@ -873,7 +899,9 @@ let cold_solve ?deadline ?max_iters st =
   in
   match phase1 with
   | `Stalled -> Stalled
-  | `Infeasible -> Infeasible
+  | `Infeasible ->
+    st.proof <- Cold_infeasible;
+    Infeasible
   | `Feasible -> (
     (* Drive out any artificial still basic at zero level. *)
     for i = 0 to st.m - 1 do
@@ -906,6 +934,7 @@ let cold_solve ?deadline ?max_iters st =
         st.ncols <- st.n;
         Array.fill st.dw 0 st.m 1.
       end;
+      st.proof <- Cold_optimal;
       extract st)
 
 (** [resolve st] solves the state's current system. Warm states try a
@@ -919,6 +948,7 @@ let resolve ?deadline ?max_iters ?obj_limit st =
   Cv_util.Fault.trip Cv_util.Fault.Solver_failure;
   Cv_util.Deadline.check_opt deadline;
   Cv_util.Metrics.incr m_solves;
+  st.proof <- No_proof;
   Cv_util.Metrics.time t_seconds @@ fun () ->
   let fallback () =
     Cv_util.Metrics.incr m_warm_fallbacks;
@@ -983,10 +1013,9 @@ let solve ?deadline ?max_iters ?basis0 ~a ~b ~c () =
   resolve ?deadline ?max_iters (make ~a ~b ~c ~basis0)
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot accessors for certificate extraction ({!Lp_cert}). All
-   return copies — the solver state stays sealed. *)
-
-let num_rows st = st.m
+(* Accessors for certificate extraction ({!Lp_cert}). The system
+   accessors return copies, so the solver state stays sealed; {!witness}
+   hands out multipliers the solver never writes again. *)
 
 let num_cols st = st.n
 
@@ -997,11 +1026,25 @@ let system_rhs st = Array.sub st.sb 0 st.m
 
 let system_obj st = Array.copy st.sc
 
-let initial_basis st = Array.sub st.basis0 0 st.m
-
-let final_basis st = Array.sub st.basis 0 st.m
-
-let row_signs st = Array.sub st.rowsign 0 st.m
-
-let artificial_rows st =
-  Array.sub st.art_row 0 (max 0 (st.ncols - st.n))
+let witness st =
+  match st.proof with
+  | No_proof -> None
+  | Kept w -> Some w
+  | (Cold_optimal | Cold_infeasible) as p ->
+    (* The certification's LU on the final basis, priced with the cost
+       the verdict optimised: the objective for [Optimal], phase 1's
+       unit artificial costs for [Infeasible] (whose prices [y] then
+       satisfy [Aᵀy ≤ 0 < b·y], the Farkas orientation). *)
+    let phase1 = p = Cold_infeasible in
+    let cost k =
+      let j = st.basis.(k) in
+      if j >= st.n then if phase1 then 1. else 0.
+      else if phase1 then 0.
+      else st.sc.(j)
+    in
+    Cv_util.Metrics.time t_cert @@ fun () ->
+    Option.map
+      (fun lu ->
+        let y = lu_solve_t st lu (Array.init st.m cost) in
+        if phase1 then Ray y else Dual y)
+      (lu_factor st)

@@ -92,15 +92,10 @@ val solve :
   unit ->
   outcome
 
-(** {2 Snapshot accessors}
+(** {2 Certificate extraction}
 
-    Read-only copies of the captured system and the solver's last basis,
-    for certificate extraction ({!Lp_cert}). [row_signs] and
-    [artificial_rows] describe the last cold build: working row [i] is
-    [row_signs st.(i)] times the pristine row, and artificial column
-    [num_cols st + k] was appended for row [(artificial_rows st).(k)]. *)
-
-val num_rows : state -> int
+    Copies of the captured system and the multipliers behind the last
+    verdict, for {!Lp_cert}. *)
 
 val num_cols : state -> int
 
@@ -113,12 +108,22 @@ val system_rhs : state -> float array
 
 val system_obj : state -> float array
 
-val initial_basis : state -> (int * float) option array
+(** Multipliers over the pristine rows, certifying a verdict up to the
+    solver's tolerances (callers validate them outward). *)
+type witness =
+  | Dual of float array
+      (** [y] with [Bᵀy = c_B]: dual-feasible, so [b·y] bounds the
+          objective from below ([Optimal], or a warm solve stopped at
+          [obj_limit]) *)
+  | Ray of float array
+      (** [z] with [Aᵀz ≤ 0 < b·z]: no [y ≥ 0] solves [Ay = b]
+          ([Infeasible]) *)
 
-(** [final_basis st] is the basic column per row after the last solve
-    (meaningless before any {!resolve}). *)
-val final_basis : state -> int array
-
-val row_signs : state -> float array
-
-val artificial_rows : state -> int array
+(** [witness st] is the multiplier vector behind the last {!resolve}'s
+    verdict: for a warm verdict the one its certification computed and
+    checked (an infeasible row's ray negated), for a cold verdict one
+    solved on demand through the same singleton-reduced LU of the
+    final basis, each artificial column the singleton [±e_r] of its
+    row. [None] after [Unbounded] or [Stalled], on a singular basis, and
+    once {!set_rhs} or {!set_cost} has changed the system. *)
+val witness : state -> witness option

@@ -9,23 +9,28 @@
     evaluations. The emitted certificate is replayed through
     {!Cv_cert.Check} before being returned. *)
 
-(** [goal enc ~max_nodes ~max_iters ~output ~side] certifies one output
-    bound of an encoded slice: sets the objective (maximise for
-    [`Upper], minimise for [`Lower]), recompiles, runs the certifying
-    branch-and-bound and packages the lowering frame. [None] when
-    extraction fails or the node budget runs out. *)
+(** [goal enc compiled ~output ~side ~bound] certifies [output ≤ bound]
+    ([`Upper]) or [output ≥ bound] ([`Lower]) on [compiled], the one
+    lowering [Lp.compile ~fixable:enc.problem.binaries enc.problem.lp]
+    that every goal of [enc] shares: it installs the goal's objective
+    with {!Cv_lp.Lp.set_objective_compiled} and runs the certifying
+    branch-and-bound towards [bound] in the lowering's frame, so
+    [mg_target] lies between [bound] and the optimum. [None] when the
+    bound fails, extraction fails or the node budget runs out. *)
 val goal :
   ?max_nodes:int ->
   ?max_iters:int ->
   Relu_encoding.encoding ->
+  Cv_lp.Lp.compiled ->
   output:int ->
   side:[ `Upper | `Lower ] ->
+  bound:float ->
   Cv_cert.Cert.milp_goal option
 
 (** [safe_cert ... net ~din ~dout] proves [f(din) ⊆ dout] with one MILP
-    goal per finite bound of [dout] — the exact-method counterpart of
-    {!Cv_cert.Emit.safe_cert}. Self-validated; [None] when any goal
-    fails. *)
+    goal per finite bound of [dout], all on one lowering of the
+    encoding — the exact-method counterpart of {!Cv_cert.Emit.safe_cert}.
+    Self-validated; [None] as soon as a goal fails. *)
 val safe_cert :
   ?max_nodes:int ->
   ?max_iters:int ->

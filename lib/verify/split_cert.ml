@@ -92,16 +92,17 @@ let revalidate_detailed ?domains c net' =
   Array.iteri (fun i ok -> if not ok then failed := i :: !failed) results;
   List.rev !failed
 
-(** [repair ?deadline ?budget ?domains c net'] re-splits only the failed
-    leaves for the new network, returning an updated certificate for
-    [net'] ([None] when the failed leaves cannot all be re-proved within
+(** [repair_detailed ?deadline ?budget ?domains c net'] re-splits only
+    the failed leaves for the new network, returning an updated
+    certificate for [net'] with the indices of the leaves it re-split
+    ([None] when the failed leaves cannot all be re-proved within
     the budget or before the deadline). [budget] is shared across every
     re-proof — the total number of new splits a repair may spend,
     however many leaves failed — so the worst case stays [budget] rather
     than growing with the failure count. [domains] parallelises the
     initial revalidation sweep. Cheap when fine-tuning invalidated only
     a few leaves. *)
-let repair ?deadline ?(budget = 1024) ?domains c net' =
+let repair_detailed ?deadline ?(budget = 1024) ?domains c net' =
   let failed = revalidate_detailed ?domains c net' in
   let is_failed = Array.make (Array.length c.leaves) false in
   List.iter (fun i -> is_failed.(i) <- true) failed;
@@ -120,8 +121,13 @@ let repair ?deadline ?(budget = 1024) ?domains c net' =
       | None -> None)
   in
   match reprove budget !keep failed with
-  | Some leaves -> Some { c with leaves = Array.of_list leaves }
+  | Some leaves -> Some ({ c with leaves = Array.of_list leaves }, failed)
   | None -> None
+
+(** [repair ?deadline ?budget ?domains c net'] is {!repair_detailed}
+    without the failed-leaf indices. *)
+let repair ?deadline ?budget ?domains c net' =
+  Option.map fst (repair_detailed ?deadline ?budget ?domains c net')
 
 (** [to_json c] / [of_json j] persist the certificate. *)
 let to_json c =

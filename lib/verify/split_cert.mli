@@ -50,6 +50,16 @@ val repair :
   Cv_nn.Network.t ->
   t option
 
+(** [repair_detailed ?deadline ?budget ?domains c net'] is {!repair}
+    that also reports the indices of the stored leaves it re-split. *)
+val repair_detailed :
+  ?deadline:Cv_util.Deadline.t ->
+  ?budget:int ->
+  ?domains:int ->
+  t ->
+  Cv_nn.Network.t ->
+  (t * int list) option
+
 val to_json : t -> Cv_util.Json.t
 
 val of_json : Cv_util.Json.t -> t

@@ -1,8 +1,9 @@
 (* Seeded soundness-fuzzing campaign for the certificate pipeline
    (`make certfuzz`).
 
-   Each round draws a random scenario, emits certificates and attacks
-   them. The invariant under fire is the checker's soundness:
+   Each round draws a random scenario (a network property, an LP, or
+   an exact-method MILP goal certificate), emits certificates and
+   attacks them. The invariant under fire is the checker's soundness:
 
    - every honestly emitted certificate must check Valid, and its claim
      must survive concrete sampling (a Valid safety certificate whose
@@ -279,6 +280,73 @@ let round_network rng =
     | None -> ()
   end
 
+(* The exact method's certificate (MILP goal trees, one per D_out
+   bound) on a small ReLU net: at most 8 hidden neurons, so at most 8
+   binaries and a full branch tree within the default node budget. *)
+let round_milp rng =
+  let mode, solver, fingerprint = meta in
+  let hidden =
+    (1 + Rng.int rng 5) :: (if Rng.bool rng then [ 1 + Rng.int rng 3 ] else [])
+  in
+  let dims = ((2 + Rng.int rng 3) :: hidden) @ [ 1 + Rng.int rng 2 ] in
+  let net = Cv_nn.Network.random ~rng ~dims ~act:Cv_nn.Activation.Relu () in
+  let lo = Rng.float rng ~lo:(-2.) ~hi:0. in
+  let hi = lo +. Rng.float rng ~lo:0.1 ~hi:2. in
+  let din = Box.uniform (List.hd dims) ~lo ~hi in
+  let exact = (Cv_verify.Range.exact_range net ~din).Cv_verify.Range.range in
+  let margin = Rng.float rng ~lo:1e-3 ~hi:0.5 in
+  let emit dout =
+    Cv_milp.Cert_bridge.safe_cert ~mode ~solver ~fingerprint net ~din ~dout
+  in
+  (match emit (Box.expand margin exact) with
+  | None -> dump_failure ~why:"milp emission failed on a true bound" Json.Null
+  | Some cert -> (
+    assert_valid_and_true rng ~what:"milp" cert;
+    attack rng cert;
+    (* Targeted corruptions, one goal at a time: a target shifted up
+       claims a bound past the spot-checked outputs, a constant shifted
+       up moves the certified bound out of D_out or past them. *)
+    match cert.Cert.proof with
+    | Cert.P_milp_goals goals ->
+      List.iteri
+        (fun i _ ->
+          let tampered f =
+            { cert with
+              Cert.proof =
+                Cert.P_milp_goals
+                  (List.mapi (fun j g -> if i = j then f g else g) goals)
+            }
+          in
+          expect_invalid ~what:"milp target"
+            (tampered (fun g ->
+                 { g with Cert.mg_target = g.Cert.mg_target +. 1e9 }));
+          expect_invalid ~what:"milp const"
+            (tampered (fun g ->
+                 { g with Cert.mg_const = g.Cert.mg_const +. 1e9 })))
+        goals
+    | _ -> fail ~why:"milp emission returned another proof kind" cert));
+  (* A D_out that sampling shows false — the sampled range with 40% of
+     its width cut from each side — must emit nothing. *)
+  let ys =
+    Array.init 128 (fun _ -> Cv_nn.Network.eval net (Box.sample rng din))
+  in
+  let side pick init =
+    Array.init (Cv_nn.Network.out_dim net) (fun i ->
+        Array.fold_left (fun a y -> pick a y.(i)) init ys)
+  in
+  let slo = side Float.min Float.infinity
+  and shi = side Float.max Float.neg_infinity in
+  let cut = Array.mapi (fun i h -> 0.4 *. (h -. slo.(i))) shi in
+  let dout =
+    Box.of_bounds
+      (Array.mapi (fun i l -> l +. cut.(i)) slo)
+      (Array.mapi (fun i h -> h -. cut.(i)) shi)
+  in
+  if Array.exists (fun y -> not (Box.mem_tol ~tol:1e-9 y dout)) ys then
+    match emit dout with
+    | None -> ()
+    | Some cert -> fail ~why:"milp certificate for a sampled-false D_out" cert
+
 let random_lp rng =
   let p = Lp.create () in
   let nv = 2 + Rng.int rng 3 in
@@ -329,7 +397,10 @@ let round_lp rng =
 let () =
   let rng = Rng.create !seed in
   for _ = 1 to !rounds do
-    if Rng.int rng 4 = 0 then round_lp rng else round_network rng
+    match Rng.int rng 4 with
+    | 0 -> round_lp rng
+    | 1 -> round_milp rng
+    | _ -> round_network rng
   done;
   Printf.printf
     "certfuzz: seed %d, %d rounds, %d certificates checked, %d/%d mutations stayed valid, %d failures\n%!"

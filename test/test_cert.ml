@@ -228,6 +228,118 @@ let test_milp_goals_cert () =
   ignore (check_valid "goals roundtrip" (Some (roundtrip cert)))
 
 (* ------------------------------------------------------------------ *)
+(* MILP goal trees stop at the D_out bound                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The seeded 4×5×5×1 nets of the certify benchmark, over D_in =
+   [−1, 1]⁴. *)
+let bench_net seed = Gen.net_of seed [ 4; 5; 5; 1 ]
+
+let bench_din = Box.uniform 4 ~lo:(-1.) ~hi:1.
+
+let exact_range net ~din =
+  (Cv_verify.Range.exact_range net ~din).Cv_verify.Range.range
+
+let goals_cert net ~din ~dout =
+  let mode, solver, fingerprint = meta ~mode:"verify" in
+  Cv_milp.Cert_bridge.safe_cert ~mode ~solver ~fingerprint net ~din ~dout
+
+let rec tree_nodes = function
+  | Cert.Milp_leaf _ -> 1
+  | Cert.Milp_branch { zero; one; _ } -> 1 + tree_nodes zero + tree_nodes one
+
+(* A node closes once its witness reaches D_out's bound, so the trees
+   are far smaller than the optimum's: 247 and 81 nodes for net 0 of
+   seed 1 when every leaf had to be integral. *)
+let test_goal_tree_sizes () =
+  let net = bench_net 1000003 in
+  let dout = Box.expand 0.01 (exact_range net ~din:bench_din) in
+  let cert =
+    check_valid "net 0 goals" (goals_cert net ~din:bench_din ~dout)
+  in
+  match cert.Cert.proof with
+  | Cert.P_milp_goals goals ->
+    let size side =
+      match
+        List.find_opt (fun (g : Cert.milp_goal) -> g.Cert.mg_side = side) goals
+      with
+      | Some g -> tree_nodes g.Cert.mg_tree
+      | None -> Alcotest.fail "missing goal"
+    in
+    Alcotest.(check int) "upper goal nodes" 15 (size `Upper);
+    Alcotest.(check int) "lower goal nodes" 3 (size `Lower)
+  | _ -> Alcotest.fail "expected milp goals"
+
+(* Net 13 of seed 3 needed 605 upper-goal nodes to reach integral
+   leaves; stopping at the bound fits the default 512-node budget. The
+   seed-1 nets 0–16 close some leaves on a warm Farkas ray (nets 7 and
+   16 among them), whose orientation the checker replays. *)
+let test_goal_default_budget () =
+  List.iter
+    (fun seed ->
+      let net = bench_net seed in
+      let dout = Box.expand 0.01 (exact_range net ~din:bench_din) in
+      ignore
+        (check_valid (Printf.sprintf "net %d goals" seed)
+           (goals_cert net ~din:bench_din ~dout)))
+    (3000022 :: List.init 17 (fun k -> 1000003 + k))
+
+(* Moving either side of D_out 0.01 inside the exact range makes that
+   side false: some integral node falls short of the target. *)
+let test_goal_refuses_false_side () =
+  let net = bench_net 1000003 in
+  let exact = exact_range net ~din:bench_din in
+  let lo = (Box.lower exact).(0) and hi = (Box.upper exact).(0) in
+  List.iter
+    (fun (what, lo, hi) ->
+      let dout = Box.of_bounds [| lo |] [| hi |] in
+      Alcotest.(check bool) what true
+        (goals_cert net ~din:bench_din ~dout = None))
+    [ ("upper inside", lo -. 0.01, hi -. 0.01);
+      ("lower inside", lo +. 0.01, hi +. 0.01) ]
+
+(* Random small ReLU nets (2–4 inputs, at most 8 hidden neurons, so at
+   most 8 binaries and a full tree within the default budget), D_out =
+   exact range ± m: the certificate exists, checks Valid, and sampled
+   outputs stay inside D_out. *)
+let goals_random_prop =
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun (seed, (d_in, h1, h2, d_out), m) ->
+          (seed, [ d_in; h1 ] @ h2 @ [ d_out ], m))
+        (triple (int_bound 1_000_000)
+           (quad (int_range 2 4) (int_range 1 5)
+              (oneof [ return []; map (fun h -> [ h ]) (int_range 1 3) ])
+              (int_range 1 2))
+           (float_range 1e-3 0.5)))
+  in
+  let print (seed, dims, m) =
+    Printf.sprintf "seed %d dims [%s] margin %g" seed
+      (String.concat ";" (List.map string_of_int dims))
+      m
+  in
+  QCheck.Test.make ~name:"milp goal certificates on random nets" ~count:100
+    (QCheck.make ~print gen)
+    (fun (seed, dims, m) ->
+      let net = Gen.net_of seed dims in
+      let din = Box.uniform (List.hd dims) ~lo:(-1.) ~hi:1. in
+      let dout = Box.expand m (exact_range net ~din) in
+      (match goals_cert net ~din ~dout with
+      | None -> QCheck.Test.fail_report "no certificate"
+      | Some cert -> (
+        match Check.check cert with
+        | Check.Valid -> ()
+        | Check.Invalid r -> QCheck.Test.fail_reportf "rejected: %s" r));
+      let rng = Cv_util.Rng.create seed in
+      for _ = 1 to 1000 do
+        let y = Cv_nn.Network.eval net (Box.sample rng din) in
+        if not (Box.mem_tol ~tol:1e-9 y dout) then
+          QCheck.Test.fail_report "sampled output outside D_out"
+      done;
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* Corruption rejection — one guaranteed-invalid mutation per kind     *)
 (* ------------------------------------------------------------------ *)
 
@@ -404,6 +516,12 @@ let () =
           Alcotest.test_case "dual" `Quick test_lp_dual_cert;
           Alcotest.test_case "milp tree" `Quick test_milp_tree_cert;
           Alcotest.test_case "milp goals" `Quick test_milp_goals_cert ] );
+      ( "milp goals",
+        [ Alcotest.test_case "tree sizes" `Quick test_goal_tree_sizes;
+          Alcotest.test_case "default budget" `Quick test_goal_default_budget;
+          Alcotest.test_case "refuses a false side" `Quick
+            test_goal_refuses_false_side;
+          QCheck_alcotest.to_alcotest goals_random_prop ] );
       ( "reject",
         [ Alcotest.test_case "chain" `Quick test_reject_chain;
           Alcotest.test_case "split" `Quick test_reject_split;

@@ -277,17 +277,17 @@ let test_batch_golden () =
   | Some g ->
     Alcotest.(check string) "batch report matches golden" (read_file g) actual
 
+let contains text needle =
+  let n = String.length needle and m = String.length text in
+  let rec go i = i + n <= m && (String.sub text i n = needle || go (i + 1)) in
+  go 0
+
 (* Certificate emission on every mode, replayed through the trusted
    checker; plus the committed golden pair (a valid chain certificate
    and a tampered copy the checker must reject). Depends on
    test_generate_and_describe / test_verify_and_reuse. *)
 let test_cert_emission_and_check () =
   let path f = Filename.concat tmp_dir f in
-  let contains text needle =
-    let n = String.length needle and m = String.length text in
-    let rec go i = i + n <= m && (String.sub text i n = needle || go (i + 1)) in
-    go 0
-  in
   let check_valid name cert =
     Alcotest.(check bool) (name ^ " cert written") true (Sys.file_exists cert);
     let code, out = run_out [ "check"; cert ] in
@@ -393,6 +393,44 @@ let test_batch_loads_model_once () =
   in
   Alcotest.(check (option int)) "kernel.prepare.builds" (Some 4) builds
 
+(* The exact method's certificate end to end: on the seeded 4×5×5×1
+   net below, with D_out the exact range ± 0.01, no interval or split
+   proof closes the claim, so [verify --exact --emit-cert] falls to the
+   MILP goal certificate, which [check] replays as VALID. *)
+let test_milp_cert_emission () =
+  let path f = Filename.concat tmp_dir f in
+  if not (Sys.file_exists tmp_dir) then Sys.mkdir tmp_dir 0o755;
+  let net =
+    Cv_nn.Network.random ~rng:(Cv_util.Rng.create 3000022)
+      ~dims:[ 4; 5; 5; 1 ] ~act:Cv_nn.Activation.Relu ()
+  in
+  let din = Cv_interval.Box.uniform 4 ~lo:(-1.) ~hi:1. in
+  let dout =
+    Cv_interval.Box.expand 0.01
+      (Cv_verify.Range.exact_range net ~din).Cv_verify.Range.range
+  in
+  Cv_nn.Serialize.save_network (path "milp_net.json") net;
+  let oc = open_out (path "milp_property.json") in
+  output_string oc
+    (Cv_util.Json.to_string
+       (Cv_verify.Property.to_json (Cv_verify.Property.make ~din ~dout)));
+  close_out oc;
+  let cert = path "milp_cert.json" in
+  if Sys.file_exists cert then Sys.remove cert;
+  let code, out =
+    run_out
+      [ "verify"; "--model"; path "milp_net.json"; "--property";
+        path "milp_property.json"; "--artifact"; path "milp_proof.json";
+        "--exact"; "--emit-cert"; cert ]
+  in
+  Alcotest.(check int) "verify exit" 0 code;
+  Alcotest.(check string) "verdict" "verdict: PROVED" (verdict_line out);
+  Alcotest.(check bool) "milp-goals certificate written" true
+    (contains out "milp-goals proof" && Sys.file_exists cert);
+  let code, out = run_out [ "check"; cert ] in
+  Alcotest.(check int) "check exit" 0 code;
+  Alcotest.(check bool) "VALID" true (contains out "VALID")
+
 let () =
   if not (Sys.file_exists exe) then begin
     print_endline "contiver binary not found; skipping CLI tests";
@@ -419,6 +457,8 @@ let () =
             Alcotest.test_case "batch golden report" `Quick test_batch_golden;
             Alcotest.test_case "cert emission + check" `Quick
               test_cert_emission_and_check;
+            Alcotest.test_case "milp cert emission + check" `Quick
+              test_milp_cert_emission;
             Alcotest.test_case "batch jobs invariance" `Quick
               test_batch_jobs_invariance;
             Alcotest.test_case "batch loads each model once" `Quick

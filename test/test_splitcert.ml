@@ -294,6 +294,47 @@ let test_leaf_reuse_counts_leaves () =
     (Cv_verify.Split_cert.num_leaves cert)
     (Cv_util.Metrics.value checked - before)
 
+(* A stored leaf that fails under the fine-tuned net is re-split, not
+   the end of the route. Certificates proved on the exact range plus
+   0.01, 0.02, 0.05 and 0.1 (92, 75, 30 and 19 leaves) each lose a few
+   leaves (5, 4, 3 and 1) to σ = 0.001 drift; leaf-reuse must repair
+   them and answer Safe, and the new net must then sample inside the
+   target. *)
+let test_leaf_reuse_repairs_failed_leaves () =
+  let old_net, net', din, _, _ = svbtv_with_cert ~drift_sigma:0.001 in
+  let exact =
+    (Cv_verify.Range.exact_range old_net ~din).Cv_verify.Range.range
+  in
+  List.iter
+    (fun margin ->
+      let target = Cv_interval.Box.expand margin exact in
+      let cert =
+        Option.get (Cv_verify.Split_cert.prove old_net ~input_box:din ~target)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "+%g: some stored leaf fails" margin)
+        true
+        (Cv_verify.Split_cert.revalidate_detailed cert net' <> []);
+      let artifact =
+        Cv_artifacts.Artifacts.make ~split_cert:cert
+          ~property:(Cv_verify.Property.make ~din ~dout:target)
+          ~net:old_net ~solver:"split" ~solve_seconds:1. ()
+      in
+      let p =
+        Cv_core.Problem.svbtv ~old_net ~new_net:net' ~artifact ~new_din:din
+      in
+      let a = Cv_core.Svbtv.leaf_reuse p in
+      Alcotest.(check bool)
+        (Printf.sprintf "+%g leaf-reuse: %s" margin a.Cv_core.Report.detail)
+        true (Cv_core.Report.is_safe a);
+      let rng = Cv_util.Rng.create 19 in
+      for _ = 1 to 1000 do
+        let x = Cv_interval.Box.sample rng din in
+        Alcotest.(check bool) "repaired target safe" true
+          (Cv_interval.Box.mem_tol ~tol:1e-7 (Cv_nn.Network.eval net' x) target)
+      done)
+    [ 0.01; 0.02; 0.05; 0.1 ]
+
 let test_artifact_persists_cert () =
   let _, _, _, _, artifact = svbtv_with_cert ~drift_sigma:0.001 in
   let artifact' =
@@ -328,5 +369,7 @@ let () =
           Alcotest.test_case "requires cert" `Quick test_leaf_reuse_requires_cert;
           Alcotest.test_case "counts its leaves" `Quick
             test_leaf_reuse_counts_leaves;
+          Alcotest.test_case "repairs failed leaves" `Quick
+            test_leaf_reuse_repairs_failed_leaves;
           Alcotest.test_case "artifact persistence" `Quick
             test_artifact_persists_cert ] ) ]
