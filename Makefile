@@ -47,10 +47,10 @@ servesmoke:
 # full pipeline with --emit-cert semantics, every certificate replayed
 # by the trusted checker, mutants rejected, Violated verdicts
 # cross-checked against concrete evaluation. Any failing certificate
-# is dumped under _build/certfuzz-failures (CI uploads it). The three
-# fixed seeds are the CI smoke matrix; `make certfuzz SEEDS="9 10"`
-# overrides them.
-SEEDS ?= 1 2 3
+# is dumped under _build/certfuzz-failures (CI uploads it). The fixed
+# seeds are the CI smoke matrix; `make certfuzz SEEDS="9 10"` overrides
+# them.
+SEEDS ?= 1 2 3 11 34 36
 certfuzz:
 	dune build test/certfuzz.exe
 	for s in $(SEEDS); do \

@@ -111,37 +111,12 @@ let emit_cert_arg =
            emitter closes within its budget, prints a warning and writes \
            nothing.")
 
-(* Safe-network emission ladder: the interval chain / split tree first
-   (cheap, covers most proved properties), the MILP goal certificates
-   when bisection alone cannot close the bound. *)
-let safe_network_cert ~mode ~solver ~fingerprint net ~din ~dout =
-  match Cv_cert.Emit.safe_cert ~mode ~solver ~fingerprint net ~din ~dout with
-  | Some c -> Some c
-  | None ->
-    Cv_milp.Cert_bridge.safe_cert ~mode ~solver ~fingerprint net ~din ~dout
-
 (* "prop3" (a Strategy attempt name) -> "Proposition 3". *)
 let proposition_of_route route =
   let n = String.length route in
   if n > 4 && String.sub route 0 4 = "prop" then
     "Proposition " ^ String.sub route 4 (n - 4)
   else route
-
-(* Wrap an incremental run's certificate in the reuse frame recording
-   which decision route settled the verdict; an unwrappable frame
-   degrades to the inner certificate. *)
-let reuse_wrapped ~route ~dout cert =
-  let slack =
-    match cert.Cv_cert.Cert.proof with
-    | Cv_cert.Cert.P_chain boxes -> Cv_cert.Check.chain_slack ~dout boxes
-    | _ -> 0.
-  in
-  match
-    Cv_cert.Emit.reuse_cert ~route ~proposition:(proposition_of_route route)
-      ~slack cert
-  with
-  | Some wrapped -> Some wrapped
-  | None -> Some cert
 
 (* Persist (checksummed envelope) and mirror into the artifact cache
    under the content-addressed key fingerprint × D_in hash ×
@@ -168,6 +143,38 @@ let emit_cert_to ?cache ~din path = function
       "contiver: warning: no certificate emitted (the verdict is unknown, \
        or no emitter closed the claim within its budget)\n\
        %!"
+
+(* A safe verdict's certificate for [net] over [din] into [dout]: the
+   interval chain / split tree first (cheap, covers most proved
+   properties), the MILP goal certificates when bisection alone cannot
+   close the bound. When [route] names the incremental route that
+   decided the verdict, the proof is wrapped in the reuse frame that
+   records it; an unwrappable frame degrades to the inner proof. The
+   recorded [solver] defaults to the route's name. *)
+let emit_safe_cert ?cache ?route
+    ?(solver = Option.value ~default:"strategy" route) ~mode ~path net ~din
+    ~dout =
+  let fingerprint = Cv_artifacts.Artifacts.fingerprint net in
+  let inner =
+    match Cv_cert.Emit.safe_cert ~mode ~solver ~fingerprint net ~din ~dout with
+    | Some c -> Some c
+    | None ->
+      Cv_milp.Cert_bridge.safe_cert ~mode ~solver ~fingerprint net ~din ~dout
+  in
+  let wrap route cert =
+    let slack =
+      match cert.Cv_cert.Cert.proof with
+      | Cv_cert.Cert.P_chain boxes -> Cv_cert.Check.chain_slack ~dout boxes
+      | _ -> 0.
+    in
+    Option.value ~default:cert
+      (Cv_cert.Emit.reuse_cert ~route ~proposition:(proposition_of_route route)
+         ~slack cert)
+  in
+  emit_cert_to ?cache ~din path
+    (match route with
+    | Some route -> Option.map (wrap route) inner
+    | None -> inner)
 
 (* ------------------------------------------------------------------ *)
 (* Common arguments                                                    *)
@@ -440,7 +447,7 @@ let verify verbose model property artifact_out emit_cert exact widen timeout
         ?resume net prop
     else Cv_core.Strategy.solve_original ?deadline net prop
   in
-  let verdict = original.Cv_core.Strategy.report.Cv_verify.Verifier.verdict in
+  let verdict = original.Cv_core.Strategy.verdict in
   Printf.printf "verdict: %s\n"
     (match verdict with
     | Cv_verify.Containment.Proved -> "PROVED"
@@ -458,20 +465,20 @@ let verify verbose model property artifact_out emit_cert exact widen timeout
   else Printf.printf "no artifact written (property not proved)\n";
   Option.iter
     (fun path ->
-      let fingerprint = Cv_artifacts.Artifacts.fingerprint net in
       let solver =
         original.Cv_core.Strategy.artifact.Cv_artifacts.Artifacts.solver
       in
       let din = prop.Cv_verify.Property.din
       and dout = prop.Cv_verify.Property.dout in
-      emit_cert_to ~din path
-        (match verdict with
-        | Cv_verify.Containment.Proved ->
-          safe_network_cert ~mode:"verify" ~solver ~fingerprint net ~din ~dout
-        | Cv_verify.Containment.Violated v ->
-          Cv_cert.Emit.unsafe_cert ~mode:"verify" ~solver ~fingerprint net
-            ~din ~dout ~x:v.Cv_verify.Falsify.input
-        | Cv_verify.Containment.Unknown _ -> None))
+      match verdict with
+      | Cv_verify.Containment.Proved ->
+        emit_safe_cert ~mode:"verify" ~solver ~path net ~din ~dout
+      | Cv_verify.Containment.Violated v ->
+        emit_cert_to ~din path
+          (Cv_cert.Emit.unsafe_cert ~mode:"verify" ~solver
+             ~fingerprint:(Cv_artifacts.Artifacts.fingerprint net)
+             net ~din ~dout ~x:v.Cv_verify.Falsify.input)
+      | Cv_verify.Containment.Unknown _ -> emit_cert_to ~din path None)
     emit_cert;
   (* A budget expiry is a structured, expected outcome of a bounded run,
      not a failure of the tool: exit 0. Everything else unproved is 1. *)
@@ -540,15 +547,8 @@ let emit_incremental_cert ~mode ~path net ~din ~dout
     (report : Cv_core.Report.t) =
   match report.Cv_core.Report.verdict with
   | Cv_core.Report.Safe ->
-    let solver =
-      Option.value ~default:"strategy" report.Cv_core.Report.decisive
-    in
-    let fingerprint = Cv_artifacts.Artifacts.fingerprint net in
-    let inner = safe_network_cert ~mode ~solver ~fingerprint net ~din ~dout in
-    emit_cert_to ~din path
-      (match (inner, report.Cv_core.Report.decisive) with
-      | Some c, Some route -> reuse_wrapped ~route ~dout c
-      | _ -> inner)
+    emit_safe_cert ?route:report.Cv_core.Report.decisive ~mode ~path net ~din
+      ~dout
   | Cv_core.Report.Unsafe v ->
     let fingerprint = Cv_artifacts.Artifacts.fingerprint net in
     emit_cert_to ~din path
@@ -1229,16 +1229,7 @@ let batch verbose manifest jobs timeout engine no_cache cache_dir
                    Filename.concat dir (r.Cv_core.Batch.job_id ^ ".cert.json")
                  in
                  let emit net ~din ~dout ~route =
-                   let fingerprint = Cv_artifacts.Artifacts.fingerprint net in
-                   let solver = Option.value ~default:"strategy" route in
-                   let inner =
-                     safe_network_cert ~mode ~solver ~fingerprint net ~din
-                       ~dout
-                   in
-                   emit_cert_to ?cache ~din path
-                     (match (inner, route) with
-                     | Some c, Some route -> reuse_wrapped ~route ~dout c
-                     | _ -> inner)
+                   emit_safe_cert ?cache ?route ~mode ~path net ~din ~dout
                  in
                  match job.Cv_core.Batch.spec with
                  | Cv_core.Batch.Verify { net; prop; _ } ->

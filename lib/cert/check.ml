@@ -458,12 +458,29 @@ let rec check_unsafe_proof ~max_nodes net din dout = function
     check_unsafe_proof ~max_nodes net din dout inner
   | p -> fail "proof kind %S cannot establish a violation" (Cert.proof_kind p)
 
+(* Every side of a claim's boxes must be an interval of numbers,
+   [lo <= hi], as {!Cv_interval.Interval.make} builds them: a NaN bound
+   fails every comparison, so a check that skips an infinite side would
+   read it as no bound at all. *)
+let check_claim_boxes din dout =
+  List.iter
+    (fun (name, b) ->
+      for k = 0 to Box.dim b - 1 do
+        let iv = Box.get b k in
+        require
+          (Interval.lo iv <= Interval.hi iv)
+          "claim %s side %d is not an interval of numbers" name k
+      done)
+    [ ("D_in", din); ("D_out", dout) ]
+
 let check ?(max_split_nodes = 200_000) (cert : Cert.t) =
   match
     match (cert.claim, cert.proof) with
     | Cert.Network_safe { net; din; dout }, proof ->
+      check_claim_boxes din dout;
       check_safe_proof ~max_nodes:max_split_nodes net din dout proof
     | Cert.Network_unsafe { net; din; dout }, proof ->
+      check_claim_boxes din dout;
       check_unsafe_proof ~max_nodes:max_split_nodes net din dout proof
     | Cert.Lp_infeasible lp, Cert.P_farkas z ->
       check_system lp;

@@ -8,7 +8,6 @@ module Metrics = Cv_util.Metrics
 module Checkpoint = Cv_util.Checkpoint
 module Supervisor = Cv_util.Supervisor
 module Parallel = Cv_util.Parallel
-module Box = Cv_interval.Box
 module Property = Cv_verify.Property
 module Artifacts = Cv_artifacts.Artifacts
 module Cache = Cv_artifacts.Cache
@@ -294,33 +293,13 @@ let verdict_of_containment = function
     | Cv_verify.Containment.Crash -> (Crashed, u.Cv_verify.Containment.message)
     | _ -> (Inconclusive, u.Cv_verify.Containment.message))
 
-(* The cached abstract route of a plain verify job: the box chain is
-   the content-addressed artifact, so the second job on the same
-   (net, D_in) skips the analysis entirely. *)
-let abstract_attempt ~config ?deadline ~chain net (prop : Property.t) () =
-  let boxes, wall =
-    Timer.time (fun () ->
-        Strategy.chain ?cache:config.cache ?deadline net prop.Property.din)
-  in
-  let n = Array.length boxes in
-  let proved = n > 0 && Box.subset_tol boxes.(n - 1) prop.Property.dout in
-  if proved then chain := Some boxes;
-  { Report.name = "abstract-box";
-    outcome =
-      (if proved then Report.Safe
-       else Report.Inconclusive "abstract chain does not prove containment");
-    timing = Report.sequential_timing wall;
-    detail = Printf.sprintf "%d layer abstractions" n }
-
 let run_verify ~config ?deadline ?checkpoint ?resume ~net ~prop ~exact
     ~artifact_out () =
   if exact then begin
     let r =
       Strategy.solve_original_exact ?deadline ?checkpoint ?resume net prop
     in
-    let verdict, detail =
-      verdict_of_containment r.Strategy.report.Cv_verify.Verifier.verdict
-    in
+    let verdict, detail = verdict_of_containment r.Strategy.verdict in
     (match (artifact_out, verdict) with
     | Some path, Safe -> Artifacts.save path r.Strategy.artifact
     | _ -> ());
@@ -330,27 +309,19 @@ let run_verify ~config ?deadline ?checkpoint ?resume ~net ~prop ~exact
       s_detail = detail }
   end
   else begin
-    let chain = ref None in
-    let report =
-      Strategy.run_until_decisive ?deadline ?checkpoint ?resume
-        [ abstract_attempt ~config ?deadline ~chain net prop;
-          (fun () ->
-            Strategy.full_verify ?deadline ~config:config.strategy net prop) ]
+    (* The chain is the content-addressed artifact: the second job on
+       the same (net, D_in) skips the analysis entirely. *)
+    let d =
+      Strategy.decide ?cache:config.cache ?deadline ~config:config.strategy
+        ?checkpoint ?resume net prop
     in
-    let settled = settled_of_report report in
-    (match (artifact_out, settled.s_verdict) with
-    | Some path, Safe ->
-      let artifact =
-        Artifacts.make ?state_abstractions:!chain
-          ~lipschitz:(Strategy.lipschitz ?cache:config.cache net)
-          ~property:prop
-          ~net
-          ~solver:(Option.value ~default:"batch" report.Report.decisive)
-          ~solve_seconds:report.Report.total_wall ()
-      in
-      Artifacts.save path artifact
+    (match (artifact_out, d.Strategy.report.Report.verdict) with
+    | Some path, Report.Safe ->
+      Artifacts.save path
+        (Strategy.artifact ?cache:config.cache ~config:config.strategy net prop
+           d)
     | _ -> ());
-    settled
+    settled_of_report d.Strategy.report
   end
 
 (* Network abstractions have no JSON codec, so they live in the cache's

@@ -7,7 +7,7 @@
     is admitted. Jobs are isolated — a crashed job (beyond supervised
     retries) degrades to a [Crashed] verdict without poisoning its
     siblings — and route through the existing machinery:
-    {!Strategy.run_until_decisive} for plain verify jobs,
+    {!Strategy.decide} for plain verify jobs,
     {!Strategy.solve_original_exact} for exact ones,
     {!Strategy.solve_svudc} / {!Strategy.solve_svbtv} for the
     incremental modes, inheriting attempt-granular (or search-granular)
@@ -32,7 +32,7 @@ type spec =
       net : Cv_nn.Network.t;
       prop : Cv_verify.Property.t;
       exact : bool;  (** sound-and-complete exact solve instead of
-                         abstract-with-fallback *)
+                         the from-scratch decision *)
       artifact_out : string option;
           (** where to write proof artifacts when the property is
               proved *)

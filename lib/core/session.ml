@@ -85,7 +85,7 @@ let certify ?deadline ?(config = Batch.default_config) ?(widen = default_widen)
   in
   if original.Strategy.proved then
     Ok (resume ~config ~widen net original.Strategy.artifact)
-  else Error original.Strategy.report
+  else Error original.Strategy.verdict
 
 type resume_error =
   | Corrupt_artifact of string

@@ -44,8 +44,8 @@ type saved = {
 }
 
 (** [certify ?deadline ?config ?widen net prop] runs the original
-    (exact) verification and opens a session; [Error] with the failure
-    report when the property does not hold or the budget expires.
+    (exact) verification and opens a session; [Error] with the exact
+    verdict when the property does not hold or the budget expires.
     [config] (default {!Batch.default_config}) runs every later
     transition; [widen] (default 0.03) is the abstraction slack of
     refreshed artifacts. *)
@@ -55,7 +55,7 @@ val certify :
   ?widen:float ->
   Cv_nn.Network.t ->
   Cv_verify.Property.t ->
-  (t, Cv_verify.Verifier.report) result
+  (t, Cv_verify.Containment.verdict) result
 
 (** [restore ?config ?widen net saved] reopens a session from its
     durable state without re-verifying; raises [Invalid_argument] when

@@ -12,7 +12,8 @@
       the old proof verbatim;
     + {e chain}: the stored [S_n] (inflated by ℓκ when the domain also
       grew) already fits [D_out'];
-    + otherwise fall back to a full verification of the new property. *)
+    + otherwise the from-scratch decision on the new property
+      ({!Strategy.from_scratch}: abstract-box, then full). *)
 
 type t = {
   net : Cv_nn.Network.t;
@@ -98,22 +99,11 @@ let chain ?(norm = Cv_lipschitz.Lipschitz.Linf) p =
     detail }
 
 (** [solve ?deadline ?config p] runs the SVuSC pipeline: trivial →
-    chain → full re-verification of the new property. Budget expiry ends
-    the run with an [Exhausted] verdict. *)
+    chain → the from-scratch decision on the new property
+    ({!Strategy.from_scratch}). Budget expiry ends the run with an
+    [Exhausted] verdict. *)
 let solve ?deadline ?(config = Strategy.default_config) p =
-  let attempts =
-    [ (fun () -> trivial p);
-      (fun () -> chain ~norm:config.Strategy.lipschitz_norm p);
-      (fun () ->
-        Strategy.full_verify ?deadline ~config p.net (target_property p)) ]
-  in
-  let rec go acc = function
-    | [] -> Report.conclude (List.rev acc)
-    | thunk :: rest -> (
-      let attempt = thunk () in
-      match attempt.Report.outcome with
-      | Report.Safe | Report.Unsafe _ | Report.Exhausted _ ->
-        Report.conclude (List.rev (attempt :: acc))
-      | Report.Inconclusive _ -> go (attempt :: acc) rest)
-  in
-  go [] attempts
+  Strategy.run_until_decisive ?deadline
+    ([ (fun () -> trivial p);
+       (fun () -> chain ~norm:config.Strategy.lipschitz_norm p) ]
+    @ Strategy.from_scratch ?deadline ~config p.net (target_property p))

@@ -34,6 +34,7 @@ val trivial : t -> Report.attempt
 val chain : ?norm:Cv_lipschitz.Lipschitz.norm -> t -> Report.attempt
 
 (** [solve ?deadline ?config p] runs the SVuSC pipeline: trivial →
-    chain → full re-verification of the new property. Budget expiry ends
-    the run with an [Exhausted] verdict. *)
+    chain → the from-scratch decision on the new property
+    ({!Strategy.from_scratch}). Budget expiry ends the run with an
+    [Exhausted] verdict. *)
 val solve : ?deadline:Cv_util.Deadline.t -> ?config:Strategy.config -> t -> Report.t

@@ -1,12 +1,18 @@
 (** Orchestration: solve the original problem (producing artifacts),
     then settle SVuDC / SVbTV instances by trying the cheap reuse routes
-    before falling back to full re-verification.
+    before falling back to the from-scratch decision.
 
     The attempt order mirrors the paper's presentation, cheapest first:
     - SVuDC: trivial inclusion → Prop 3 (Lipschitz, O(1)) → Prop 1
-      (two-layer exact) → Prop 2 (rebuild + handoffs) → full.
+      (two-layer exact) → Prop 2 (rebuild + handoffs) → Δ-cover →
+      abstract-box → full.
     - SVbTV: Prop 6 (weight domination, no solver) → Prop 4 with §IV-C
-      fixing → Prop 5 (anchored multi-layer) → full.
+      fixing → Prop 5 (anchored multi-layer) → abstract-box → full.
+
+    The from-scratch decision ({!decide}) is those last two attempts:
+    the box chain over [D_in] ([abstract-box]), then the configured
+    engine on the whole network ([full]). The original problem runs it
+    alone.
 
     Each run returns a {!Report.t} with per-attempt timing so the bench
     harness can reproduce Table I's "incremental time / original time"
@@ -78,42 +84,9 @@ let chain ?cache ?deadline ?(widen = 0.) net din =
 (** Result of solving the original verification problem from scratch. *)
 type original = {
   artifact : Cv_artifacts.Artifacts.t;
-  report : Cv_verify.Verifier.report;
+  verdict : Cv_verify.Containment.verdict;
   proved : bool;
 }
-
-(** [solve_original ?deadline ?config net prop] verifies
-    [φ(f, D_in, D_out)] from scratch — abstract analysis first, exact
-    fallback — and packages the proof artifacts (state abstractions when
-    the abstract proof succeeded, Lipschitz constants always). The
-    reported time is the denominator of the Table I ratios. Deadline
-    expiry degrades the verdict to [Unknown {reason = Timeout; _}]. *)
-let solve_original ?deadline ?(config = default_config) net prop =
-  Cv_util.Trace.with_span "strategy.original" @@ fun () ->
-  let result, wall =
-    Cv_util.Timer.time (fun () ->
-        let pr =
-          Cv_verify.Verifier.verify_with_abstractions ?deadline
-            ~fallback:config.engine net prop
-        in
-        (pr, lipschitz net))
-  in
-  let pr, lipschitz = result in
-  let proved =
-    match pr.Cv_verify.Verifier.report.Cv_verify.Verifier.verdict with
-    | Cv_verify.Containment.Proved -> true
-    | _ -> false
-  in
-  { artifact =
-      Cv_artifacts.Artifacts.make
-        ?state_abstractions:pr.Cv_verify.Verifier.abstractions ~lipschitz
-        ~property:prop ~net
-        ~solver:
-          (Cv_verify.Containment.engine_name
-             pr.Cv_verify.Verifier.report.Cv_verify.Verifier.engine)
-        ~solve_seconds:wall ();
-    report = { pr.Cv_verify.Verifier.report with Cv_verify.Verifier.seconds = wall };
-    proved }
 
 (** [solve_original_exact ?widen net prop] — the Table I
     "original problem": a sound-and-complete full-network run (exact
@@ -169,52 +142,8 @@ let solve_original_exact ?deadline ?(widen = 0.02) ?(with_split_cert = false)
       Cv_artifacts.Artifacts.make ?state_abstractions:abstractions ~lipschitz
         ?split_cert ~property:prop ~net ~solver:"milp-exact-range"
         ~solve_seconds:wall ();
-    report =
-      { Cv_verify.Verifier.verdict;
-        engine = Cv_verify.Containment.Milp;
-        seconds = wall };
-    proved =
-      (match verdict with Cv_verify.Containment.Proved -> true | _ -> false) }
-
-(* ------------------------------------------------------------------ *)
-(* Fallback                                                            *)
-(* ------------------------------------------------------------------ *)
-
-(** [full_verify ?deadline ?config net prop] — complete re-verification
-    of the target property, as a strategy attempt. Without a deadline
-    this is the abstract-then-exact solver; with one it runs the
-    {!Cv_verify.Verifier.verify_graceful} escalation chain, so the
-    attempt degrades to [Exhausted] (with any salvaged bound in the
-    message) instead of hanging when the budget runs out. *)
-let full_verify ?deadline ?(config = default_config) net prop =
-  let report, wall =
-    Cv_util.Timer.time (fun () ->
-        match deadline with
-        | Some _ -> Cv_verify.Verifier.verify_graceful ?deadline net prop
-        | None ->
-          (Cv_verify.Verifier.verify_with_abstractions ~fallback:config.engine
-             net prop)
-            .Cv_verify.Verifier.report)
-  in
-  let outcome =
-    match report.Cv_verify.Verifier.verdict with
-    | Cv_verify.Containment.Proved -> Report.Safe
-    | Cv_verify.Containment.Violated v -> Report.Unsafe v
-    | Cv_verify.Containment.Unknown
-        { Cv_verify.Containment.reason = Cv_verify.Containment.Timeout;
-          message;
-          _ } ->
-      Report.Exhausted message
-    | Cv_verify.Containment.Unknown u ->
-      Report.Inconclusive u.Cv_verify.Containment.message
-  in
-  { Report.name = "full";
-    outcome;
-    timing = Report.sequential_timing wall;
-    detail =
-      (match deadline with
-      | Some _ -> "graceful escalation chain (budgeted)"
-      | None -> "complete re-verification (no reuse)") }
+    verdict;
+    proved = Cv_verify.Containment.is_proved verdict }
 
 (* Strategy-level accounting: how many reuse attempts ran and how many
    settled their instance (surfaced by `contiver --stats`). *)
@@ -301,6 +230,131 @@ let run_until_decisive ?deadline ?checkpoint ?resume attempts =
   go (List.rev prior) (drop (List.length prior) attempts)
 
 (* ------------------------------------------------------------------ *)
+(* The from-scratch decision                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Step one: the box chain over [D_in], through [cache] when the caller
+   has one. Safe iff [S_n ⊆ D_out]; a proving chain goes to [on_chain]
+   for the artifact. {!run_until_decisive} supervises the attempt, so a
+   crash or an expired deadline just leaves no chain. *)
+let abstract_box ?cache ?deadline ~on_chain net (prop : Cv_verify.Property.t)
+    () =
+  let boxes, wall =
+    Cv_util.Timer.time (fun () ->
+        chain ?cache ?deadline net prop.Cv_verify.Property.din)
+  in
+  let n = Array.length boxes in
+  let proved =
+    n > 0
+    && Cv_interval.Box.subset_tol boxes.(n - 1) prop.Cv_verify.Property.dout
+  in
+  if proved then on_chain boxes;
+  { Report.name = "abstract-box";
+    outcome =
+      (if proved then Report.Safe
+       else Report.Inconclusive "abstract chain does not prove containment");
+    timing = Report.sequential_timing wall;
+    detail = Printf.sprintf "%d layer abstractions" n }
+
+(* Step two: [config.engine] on the whole network, under the same
+   deadline. A timeout exhausts the decision, and its message carries
+   the engine's certified bound. *)
+let full ?deadline ~config net (prop : Cv_verify.Property.t) () =
+  let verdict, wall =
+    Cv_verify.Containment.check_timed ?deadline config.engine net
+      ~input_box:prop.Cv_verify.Property.din
+      ~target:prop.Cv_verify.Property.dout
+  in
+  { Report.name = "full";
+    outcome =
+      (match verdict with
+      | Cv_verify.Containment.Proved -> Report.Safe
+      | Cv_verify.Containment.Violated v -> Report.Unsafe v
+      | Cv_verify.Containment.Unknown
+          { Cv_verify.Containment.reason = Cv_verify.Containment.Timeout;
+            message;
+            best_bound } ->
+        Report.Exhausted
+          (match best_bound with
+          | None -> message
+          | Some b -> Printf.sprintf "%s [best bound %.6g]" message b)
+      | Cv_verify.Containment.Unknown u ->
+        Report.Inconclusive u.Cv_verify.Containment.message);
+    timing = Report.sequential_timing wall;
+    detail =
+      Cv_verify.Containment.engine_name config.engine
+      ^ " on the whole network" }
+
+let scratch ?cache ?deadline ~config ~on_chain net prop =
+  [ abstract_box ?cache ?deadline ~on_chain net prop;
+    full ?deadline ~config net prop ]
+
+(** [from_scratch ?deadline ?config net prop] is the from-scratch
+    decision as the last two attempts of an attempt chain:
+    [abstract-box], then [full]. *)
+let from_scratch ?deadline ?(config = default_config) net prop =
+  scratch ?deadline ~config ~on_chain:ignore net prop
+
+(** A from-scratch decision: the run of its attempts, and the chain
+    that proved it when [abstract-box] decided. *)
+type decision = {
+  report : Report.t;
+  chain : Cv_interval.Box.t array option;
+}
+
+(** [decide ?cache ?deadline ?config ?checkpoint ?resume net prop] runs
+    the from-scratch decision ({!from_scratch}, the chain built through
+    [cache] when one is given) under {!run_until_decisive}. *)
+let decide ?cache ?deadline ?(config = default_config) ?checkpoint ?resume net
+    prop =
+  if not (Cv_verify.Property.well_formed prop net) then
+    invalid_arg "Strategy.decide: property/network dimension mismatch";
+  let proof = ref None in
+  let report =
+    run_until_decisive ?deadline ?checkpoint ?resume
+      (scratch ?cache ?deadline ~config
+         ~on_chain:(fun s -> proof := Some s)
+         net prop)
+  in
+  { report; chain = !proof }
+
+(** [artifact ?cache ~config net prop d] is the proof artifact of the
+    decision [d]: its proving chain, the Lipschitz constants (through
+    [cache]), the engine that decided and the decision's time. *)
+let artifact ?cache ~config net prop d =
+  Cv_artifacts.Artifacts.make ?state_abstractions:d.chain
+    ~lipschitz:(lipschitz ?cache net) ~property:prop ~net
+    ~solver:
+      (Cv_verify.Containment.engine_name
+         (match d.chain with
+         | Some _ -> Cv_verify.Containment.Abstract Cv_domains.Analyzer.Box
+         | None -> config.engine))
+    ~solve_seconds:d.report.Report.total_wall ()
+
+(** [solve_original ?deadline ?config net prop] verifies
+    [φ(f, D_in, D_out)] by the from-scratch decision ({!decide}) and
+    packages its proof artifact. The recorded time is the denominator
+    of the Table I ratios. An exhausted decision reads
+    [Unknown {reason = Timeout; _}], any other undecided one
+    [Unknown {reason = Imprecise; _}], each with the decision's
+    message. *)
+let solve_original ?deadline ?(config = default_config) net prop =
+  Cv_util.Trace.with_span "strategy.original" @@ fun () ->
+  let d = decide ?deadline ~config net prop in
+  let verdict =
+    match d.report.Report.verdict with
+    | Report.Safe -> Cv_verify.Containment.Proved
+    | Report.Unsafe v -> Cv_verify.Containment.Violated v
+    | Report.Exhausted msg ->
+      Cv_verify.Containment.unknown Cv_verify.Containment.Timeout msg
+    | Report.Inconclusive msg ->
+      Cv_verify.Containment.unknown Cv_verify.Containment.Imprecise msg
+  in
+  { artifact = artifact ~config net prop d;
+    verdict;
+    proved = Cv_verify.Containment.is_proved verdict }
+
+(* ------------------------------------------------------------------ *)
 (* SVuDC                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -311,17 +365,15 @@ let solve_svudc ?deadline ?(config = default_config) ?checkpoint ?resume
     (p : Problem.svudc) =
   Cv_util.Trace.with_span "strategy.svudc" @@ fun () ->
   run_until_decisive ?deadline ?checkpoint ?resume
-    [ (fun () -> Svudc.trivial p);
-      (fun () -> Svudc.prop3 ~norm:config.lipschitz_norm p);
-      (fun () -> Svudc.prop1 ?deadline ~engine:config.engine p);
-      (fun () ->
-        Svudc.prop2 ?deadline ~engine:config.engine ?domains:config.domains p);
-      (fun () ->
-        Svudc.delta_cover ?deadline ~engine:config.engine
-          ?domains:config.domains p);
-      (fun () ->
-        full_verify ?deadline ~config p.Problem.net (Problem.svudc_property p))
-    ]
+    ([ (fun () -> Svudc.trivial p);
+       (fun () -> Svudc.prop3 ~norm:config.lipschitz_norm p);
+       (fun () -> Svudc.prop1 ?deadline ~engine:config.engine p);
+       (fun () ->
+         Svudc.prop2 ?deadline ~engine:config.engine ?domains:config.domains p);
+       (fun () ->
+         Svudc.delta_cover ?deadline ~engine:config.engine
+           ?domains:config.domains p) ]
+    @ from_scratch ?deadline ~config p.Problem.net (Problem.svudc_property p))
 
 (* ------------------------------------------------------------------ *)
 (* SVbTV                                                               *)
@@ -365,10 +417,9 @@ let solve_svbtv ?deadline ?(config = default_config) ?netabs ?checkpoint
               detail = "" }
           else
             Svbtv.prop5 ?deadline ~engine:config.engine
-              ?domains:config.domains ~anchors p);
-        (fun () ->
-          full_verify ?deadline ~config p.Problem.new_net
-            (Problem.svbtv_property p)) ])
+              ?domains:config.domains ~anchors p) ]
+    @ from_scratch ?deadline ~config p.Problem.new_net
+        (Problem.svbtv_property p))
 
 (** [ratio ~incremental ~original] is the Table I quantity:
     incremental time as a fraction of the original solve time. *)

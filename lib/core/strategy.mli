@@ -1,14 +1,19 @@
 (** Orchestration: solve the original problem (producing artifacts),
     then settle SVuDC / SVbTV instances by trying the cheap reuse routes
-    before falling back to full re-verification.
+    before falling back to the from-scratch decision.
 
     Attempt order, cheapest first:
     - SVuDC: trivial inclusion → Prop 3 (Lipschitz, O(1)) → Prop 1
       (two-layer exact) → Prop 2 (rebuild + handoffs) → Δ-cover →
-      full re-verification;
+      abstract-box → full;
     - SVbTV: Prop 6 (when an abstraction pair or interval slack is
       configured) → Prop 4 with §IV-C fixing → differential route →
-      Prop 5 → full re-verification. *)
+      Prop 5 → abstract-box → full.
+
+    The from-scratch decision ({!decide}) is the last two: the box chain
+    over [D_in] ([abstract-box]: Safe iff [S_n ⊆ D_out]), then
+    [config.engine] on the whole network ([full]), both under the one
+    deadline. *)
 
 type config = {
   engine : Cv_verify.Containment.engine;  (** exact engine for subproblems *)
@@ -41,18 +46,78 @@ val chain :
   Cv_interval.Box.t ->
   Cv_interval.Box.t array
 
+(** [run_until_decisive ?deadline ?checkpoint ?resume attempts] runs
+    attempt thunks lazily in order, stopping at the first decisive one.
+    Attempts run supervised (a crash beyond retries becomes
+    [Inconclusive] and the chain continues); checkpointing is
+    attempt-granular, and [resume] replays the recorded non-decisive
+    attempts, skipping that many thunks. *)
+val run_until_decisive :
+  ?deadline:Cv_util.Deadline.t ->
+  ?checkpoint:Cv_util.Checkpoint.t ->
+  ?resume:Cv_util.Json.t ->
+  (unit -> Report.attempt) list ->
+  Report.t
+
+(** [from_scratch ?deadline ?config net prop] is the from-scratch
+    decision as the tail of an attempt chain: [abstract-box] (the box
+    chain over [D_in]; Safe iff [S_n ⊆ D_out]), then [full]
+    ([config.engine] on the whole network under the same deadline; a
+    timeout is [Exhausted], and its message carries the engine's
+    certified bound). *)
+val from_scratch :
+  ?deadline:Cv_util.Deadline.t ->
+  ?config:config ->
+  Cv_nn.Network.t ->
+  Cv_verify.Property.t ->
+  (unit -> Report.attempt) list
+
+(** A from-scratch decision: the run of its attempts, and the chain
+    that proved it when [abstract-box] decided. *)
+type decision = {
+  report : Report.t;
+  chain : Cv_interval.Box.t array option;
+}
+
+(** [decide ?cache ?deadline ?config ?checkpoint ?resume net prop] runs
+    {!from_scratch} under {!run_until_decisive}, the chain built through
+    [cache] (see {!chain}) when one is given. Raises [Invalid_argument]
+    when [prop] does not fit [net]. *)
+val decide :
+  ?cache:Cv_artifacts.Cache.t ->
+  ?deadline:Cv_util.Deadline.t ->
+  ?config:config ->
+  ?checkpoint:Cv_util.Checkpoint.t ->
+  ?resume:Cv_util.Json.t ->
+  Cv_nn.Network.t ->
+  Cv_verify.Property.t ->
+  decision
+
+(** [artifact ?cache ~config net prop d] is the proof artifact of the
+    decision [d]: its proving chain (if any), the Lipschitz constants
+    (see {!lipschitz}), the engine that decided ([box], or
+    [config.engine]) and the decision's time. *)
+val artifact :
+  ?cache:Cv_artifacts.Cache.t ->
+  config:config ->
+  Cv_nn.Network.t ->
+  Cv_verify.Property.t ->
+  decision ->
+  Cv_artifacts.Artifacts.t
+
 (** Result of solving the original verification problem from scratch. *)
 type original = {
   artifact : Cv_artifacts.Artifacts.t;
-  report : Cv_verify.Verifier.report;
+  verdict : Cv_verify.Containment.verdict;
   proved : bool;
 }
 
 (** [solve_original ?deadline ?config net prop] verifies
-    [φ(f, D_in, D_out)] from scratch — abstract analysis first, exact
-    fallback — and packages the proof artifacts (state abstractions when
-    the abstract proof succeeded, Lipschitz constants always). Deadline
-    expiry degrades the verdict to [Unknown {reason = Timeout; _}]. *)
+    [φ(f, D_in, D_out)] by the from-scratch decision ({!decide}) and
+    packages its {!artifact}. An exhausted decision reads
+    [Unknown {reason = Timeout; _}], any other undecided one
+    [Unknown {reason = Imprecise; _}], each with the decision's
+    message. *)
 val solve_original :
   ?deadline:Cv_util.Deadline.t ->
   ?config:config ->
@@ -82,30 +147,6 @@ val solve_original_exact :
   Cv_nn.Network.t ->
   Cv_verify.Property.t ->
   original
-
-(** [full_verify ?deadline ?config net prop] — complete re-verification
-    of the target property, as a strategy attempt. With a deadline, runs
-    the {!Cv_verify.Verifier.verify_graceful} escalation chain and
-    degrades to [Exhausted] on budget expiry. *)
-val full_verify :
-  ?deadline:Cv_util.Deadline.t ->
-  ?config:config ->
-  Cv_nn.Network.t ->
-  Cv_verify.Property.t ->
-  Report.attempt
-
-(** [run_until_decisive ?deadline ?checkpoint ?resume attempts] runs
-    attempt thunks lazily in order, stopping at the first decisive one.
-    Attempts run supervised (a crash beyond retries becomes
-    [Inconclusive] and the chain continues); checkpointing is
-    attempt-granular, and [resume] replays the recorded non-decisive
-    attempts, skipping that many thunks. *)
-val run_until_decisive :
-  ?deadline:Cv_util.Deadline.t ->
-  ?checkpoint:Cv_util.Checkpoint.t ->
-  ?resume:Cv_util.Json.t ->
-  (unit -> Report.attempt) list ->
-  Report.t
 
 (** [solve_svudc ?deadline ?config p] — the full SVuDC pipeline. On
     budget expiry the run ends with a structured [Exhausted] verdict

@@ -127,63 +127,57 @@ let check_milp ?deadline ?domains ?(closed = fun _ -> (false, false)) net
   if Cv_interval.Box.dim target <> out_dim then
     invalid_arg "Containment.check_milp: target dimension";
   let tol = 1e-7 in
+  let counterexample (s : Cv_milp.Milp.solution) =
+    violation_from_point net target
+      (Array.sub s.Cv_milp.Milp.values 0 (Cv_nn.Network.in_dim net))
+  in
+  (* One side of output [i]: maximise against the target's [bound] from
+     above, or minimise against it from below. *)
+  let side i ~upper bound =
+    let query, cutoff, within, dir, rel =
+      if upper then
+        ( Cv_milp.Relu_encoding.max_output,
+          bound +. tol,
+          (fun v -> v <= bound +. tol),
+          "above",
+          "≤" )
+      else
+        ( Cv_milp.Relu_encoding.min_output,
+          bound -. tol,
+          (fun v -> v >= bound -. tol),
+          "below",
+          "≥" )
+    in
+    match query ?deadline ?domains enc ~output:i ~cutoff with
+    | Cv_milp.Milp.Below_cutoff _ -> Proved
+    | Cv_milp.Milp.Optimal s ->
+      if within s.Cv_milp.Milp.objective then Proved else counterexample s
+    | Cv_milp.Milp.Cutoff_reached s -> counterexample s
+    | Cv_milp.Milp.Infeasible -> unknown Numerical "MILP infeasible"
+    | Cv_milp.Milp.Unbounded -> unknown Numerical "MILP unbounded"
+    | Cv_milp.Milp.Timeout { bound = certified; _ } ->
+      unknown Timeout ~best_bound:certified
+        (Printf.sprintf
+           "budget expired bounding output %d from %s (certified %s %g, need %s %g)"
+           i dir rel certified rel bound)
+  in
   let rec per_output i =
     if i = out_dim then Proved
     else begin
       let iv = Cv_interval.Box.get target i in
       let hi = Cv_interval.Interval.hi iv and lo = Cv_interval.Interval.lo iv in
       let upper_closed, lower_closed = closed i in
-      let upper_ok =
+      match
         if hi = Float.infinity || upper_closed then Proved
-        else
-          match
-            Cv_milp.Relu_encoding.max_output ?deadline ?domains enc ~output:i
-              ~cutoff:(hi +. tol)
-          with
-          | Cv_milp.Milp.Below_cutoff _ -> Proved
-          | Cv_milp.Milp.Optimal s ->
-            if s.Cv_milp.Milp.objective <= hi +. tol then Proved
-            else
-              violation_from_point net target
-                (Array.sub s.Cv_milp.Milp.values 0 (Cv_nn.Network.in_dim net))
-          | Cv_milp.Milp.Cutoff_reached s ->
-            violation_from_point net target
-              (Array.sub s.Cv_milp.Milp.values 0 (Cv_nn.Network.in_dim net))
-          | Cv_milp.Milp.Infeasible -> unknown Numerical "MILP infeasible"
-          | Cv_milp.Milp.Unbounded -> unknown Numerical "MILP unbounded"
-          | Cv_milp.Milp.Timeout { bound; _ } ->
-            unknown Timeout ~best_bound:bound
-              (Printf.sprintf
-                 "budget expired bounding output %d from above (certified ≤ %g, need ≤ %g)"
-                 i bound hi)
-      in
-      match upper_ok with
+        else side i ~upper:true hi
+      with
       | Proved -> (
-        let lower_ok =
+        match
           if lo = Float.neg_infinity || lower_closed then Proved
-          else
-            match
-              Cv_milp.Relu_encoding.min_output ?deadline ?domains enc ~output:i
-                ~cutoff:(lo -. tol)
-            with
-            | Cv_milp.Milp.Below_cutoff _ -> Proved
-            | Cv_milp.Milp.Optimal s ->
-              if s.Cv_milp.Milp.objective >= lo -. tol then Proved
-              else
-                violation_from_point net target
-                  (Array.sub s.Cv_milp.Milp.values 0 (Cv_nn.Network.in_dim net))
-            | Cv_milp.Milp.Cutoff_reached s ->
-              violation_from_point net target
-                (Array.sub s.Cv_milp.Milp.values 0 (Cv_nn.Network.in_dim net))
-            | Cv_milp.Milp.Infeasible -> unknown Numerical "MILP infeasible"
-            | Cv_milp.Milp.Unbounded -> unknown Numerical "MILP unbounded"
-            | Cv_milp.Milp.Timeout { bound; _ } ->
-              unknown Timeout ~best_bound:bound
-                (Printf.sprintf
-                   "budget expired bounding output %d from below (certified ≥ %g, need ≥ %g)"
-                   i bound lo)
-        in
-        match lower_ok with Proved -> per_output (i + 1) | r -> r)
+          else side i ~upper:false lo
+        with
+        | Proved -> per_output (i + 1)
+        | r -> r)
       | r -> r
     end
   in

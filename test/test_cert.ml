@@ -459,6 +459,31 @@ let test_reject_milp_goals () =
       { cert with Cert.proof = Cert.P_milp_goals tampered }
   | _ -> Alcotest.fail "expected goals"
 
+(* An honest goal certificate over a seeded net, with one D_out side
+   then set to NaN: the checker must refuse the claim rather than read
+   the NaN as an absent bound. *)
+let test_reject_nan_claim () =
+  let net = bench_net 1000003 in
+  let dout = Box.expand 0.01 (exact_range net ~din:bench_din) in
+  let cert = check_valid "goals" (goals_cert net ~din:bench_din ~dout) in
+  let nan_side upper =
+    let lo = (Box.lower dout).(0) and hi = (Box.upper dout).(0) in
+    Box.of_json
+      (Json.List
+         [ Json.List
+             (if upper then [ Json.Num lo; Json.Num Float.nan ]
+              else [ Json.Num Float.nan; Json.Num hi ]) ])
+  in
+  match cert.Cert.claim with
+  | Cert.Network_safe { net; din; _ } ->
+    List.iter
+      (fun (what, upper) ->
+        expect_invalid what
+          { cert with
+            Cert.claim = Cert.Network_safe { net; din; dout = nan_side upper } })
+      [ ("NaN upper D_out side", true); ("NaN lower D_out side", false) ]
+  | _ -> Alcotest.fail "expected a safety claim"
+
 let test_reject_reuse () =
   let cert = check_valid "chain" (fig2_safe_cert ~dout:13.1 ()) in
   let wrapped =
@@ -532,6 +557,7 @@ let () =
           Alcotest.test_case "dual" `Quick test_reject_dual;
           Alcotest.test_case "milp tree" `Quick test_reject_milp_tree;
           Alcotest.test_case "milp goals" `Quick test_reject_milp_goals;
+          Alcotest.test_case "NaN claim bound" `Quick test_reject_nan_claim;
           Alcotest.test_case "reuse" `Quick test_reject_reuse;
           Alcotest.test_case "kind mismatch" `Quick
             test_reject_kind_mismatch ] );

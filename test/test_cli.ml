@@ -299,16 +299,21 @@ let test_cert_emission_and_check () =
       path "property.json"; "--artifact"; path "proof.json"; "--emit-cert";
       path "cert_verify.json" ];
   check_valid "verify" (path "cert_verify.json");
-  check_run "svudc --emit-cert"
+  let check_reuse name args cert =
+    let code, out = run_out (args @ [ "--emit-cert"; cert ]) in
+    Alcotest.(check int) (name ^ " --emit-cert") 0 code;
+    check_valid name cert;
+    Alcotest.(check bool) (name ^ " reuse frame") true
+      (contains out ("certificate (reuse proof) written to " ^ cert))
+  in
+  check_reuse "svudc"
     [ "svudc"; "--model"; path "head1.json"; "--artifact"; path "proof.json";
-      "--new-din"; path "enlarged_din.json"; "--emit-cert";
-      path "cert_svudc.json" ];
-  check_valid "svudc" (path "cert_svudc.json");
-  check_run "svbtv --emit-cert"
+      "--new-din"; path "enlarged_din.json" ]
+    (path "cert_svudc.json");
+  check_reuse "svbtv"
     [ "svbtv"; "--old"; path "head1.json"; "--new"; path "head2.json";
-      "--artifact"; path "proof.json"; "--new-din"; path "enlarged_din.json";
-      "--emit-cert"; path "cert_svbtv.json" ];
-  check_valid "svbtv" (path "cert_svbtv.json");
+      "--artifact"; path "proof.json"; "--new-din"; path "enlarged_din.json" ]
+    (path "cert_svbtv.json");
   (* batch: one cert per safe job, each one checker-valid *)
   let manifest = path "cert_batch_manifest.json" in
   let oc = open_out manifest in
@@ -319,13 +324,20 @@ let test_cert_emission_and_check () =
   {"id":"cb","mode":"svbtv","old":"head1.json","new":"head2.json","artifact":"proof.json","new_din":"enlarged_din.json"}
 ]}|};
   close_out oc;
-  check_run "batch --emit-certs"
-    [ "batch"; "--manifest"; manifest; "--emit-certs"; path "certs" ];
+  let code, out =
+    run_out [ "batch"; "--manifest"; manifest; "--emit-certs"; path "certs" ]
+  in
+  Alcotest.(check int) "batch --emit-certs" 0 code;
+  (* The incremental jobs' certificates carry the reuse frame, as the
+     one-shot svudc/svbtv ones do; the from-scratch verify job's does
+     not. *)
   List.iter
-    (fun id ->
-      check_valid ("batch " ^ id)
-        (Filename.concat (path "certs") (id ^ ".cert.json")))
-    [ "cv"; "cu"; "cb" ];
+    (fun (id, reuse) ->
+      let cert = Filename.concat (path "certs") (id ^ ".cert.json") in
+      check_valid ("batch " ^ id) cert;
+      Alcotest.(check bool) ("batch " ^ id ^ " reuse frame") reuse
+        (contains out ("certificate (reuse proof) written to " ^ cert)))
+    [ ("cv", false); ("cu", true); ("cb", true) ];
   (* committed golden pair *)
   (match
      List.find_opt Sys.file_exists

@@ -501,6 +501,153 @@ let test_ratio () =
   Alcotest.(check bool) "nan on zero" true
     (Float.is_nan (Cv_core.Strategy.ratio ~incremental:1. ~original:0.))
 
+(* ------------------------------------------------------------------ *)
+(* The from-scratch decision, through every caller                     *)
+(* ------------------------------------------------------------------ *)
+
+let fig2_net () =
+  Cv_nn.Network.of_list
+    [ Cv_nn.Layer.make
+        (Cv_linalg.Mat.of_rows [ [| 1.; -2. |]; [| -2.; 1. |]; [| 1.; -1. |] ])
+        [| 0.; 0.; 0. |] Cv_nn.Activation.Relu;
+      Cv_nn.Layer.make
+        (Cv_linalg.Mat.of_rows [ [| 2.; 2.; -1. |] ])
+        [| 0. |] Cv_nn.Activation.Relu ]
+
+(* f(x) = relu(1 − 1000·(relu(x − p) + relu(p − x))): a spike of height
+   1 and width 0.002 at [p]. *)
+let spike_net p =
+  Cv_nn.Network.of_list
+    [ Cv_nn.Layer.make
+        (Cv_linalg.Mat.of_rows [ [| 1. |]; [| -1. |] ])
+        [| -.p; p |] Cv_nn.Activation.Relu;
+      Cv_nn.Layer.make
+        (Cv_linalg.Mat.of_rows [ [| -1000.; -1000. |] ])
+        [| 1. |] Cv_nn.Activation.Relu ]
+
+(* Three questions with the verdict and decisive step the from-scratch
+   decision must reach: the box chain proves the loose bound; only the
+   full engine proves the tight one (Figure 2's maximum is 6); and only
+   the full engine finds the spike, which sits on the MILP sampler's
+   first seed ([Rng.create 61]) where the falsifiers' samples miss it. *)
+let scratch_cases () =
+  let square = Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1. in
+  let line = Cv_interval.Box.uniform 1 ~lo:(-1.) ~hi:1. in
+  let spike_at = (Cv_interval.Box.sample (Cv_util.Rng.create 61) line).(0) in
+  let prop din lo hi =
+    Cv_verify.Property.make ~din
+      ~dout:(Cv_interval.Box.of_bounds [| lo |] [| hi |])
+  in
+  [ ( "chain proof",
+      fig2_net (),
+      prop square (-1.) 12.5,
+      ("safe", Some "abstract-box") );
+    ("full proof", fig2_net (), prop square (-0.1) 6.1, ("safe", Some "full"));
+    ("spike", spike_net spike_at, prop line (-1.) 0.5, ("unsafe", Some "full"))
+  ]
+
+let verdict_name (r : Cv_core.Report.t) =
+  match r.Cv_core.Report.verdict with
+  | Cv_core.Report.Safe -> "safe"
+  | Cv_core.Report.Unsafe _ -> "unsafe"
+  | Cv_core.Report.Inconclusive _ -> "inconclusive"
+  | Cv_core.Report.Exhausted _ -> "exhausted"
+
+let containment_name = function
+  | Cv_verify.Containment.Proved -> "safe"
+  | Cv_verify.Containment.Violated _ -> "unsafe"
+  | Cv_verify.Containment.Unknown
+      { Cv_verify.Containment.reason = Cv_verify.Containment.Timeout; _ } ->
+    "exhausted"
+  | Cv_verify.Containment.Unknown _ -> "inconclusive"
+
+(* A one-job batch verify of [prop]; [timeout] is the job's deadline. *)
+let batch_verify ?cache ?timeout net prop =
+  let config = { Cv_core.Batch.default_config with Cv_core.Batch.cache } in
+  match
+    (Cv_core.Batch.run ~config
+       [ { Cv_core.Batch.id = "q";
+           spec =
+             Cv_core.Batch.Verify
+               { net; prop; exact = false; artifact_out = None };
+           timeout } ])
+      .Cv_core.Batch.results
+  with
+  | [ r ] ->
+    ( Cv_core.Batch.verdict_name r.Cv_core.Batch.verdict,
+      r.Cv_core.Batch.decisive )
+  | _ -> Alcotest.fail "one job, one result"
+
+(* The SVuSC tail: an artifact with no chain whose D_out the new one does
+   not contain, so spec-trivial and spec-chain pass the question on. *)
+let svusc_tail ?deadline net (prop : Cv_verify.Property.t) =
+  let artifact =
+    Cv_artifacts.Artifacts.make
+      ~property:
+        (Cv_verify.Property.make ~din:prop.Cv_verify.Property.din
+           ~dout:(Cv_interval.Box.expand 100. prop.Cv_verify.Property.dout))
+      ~net ~solver:"test" ~solve_seconds:1. ()
+  in
+  Cv_core.Specchange.solve ?deadline
+    (Cv_core.Specchange.make ~net ~artifact
+       ~new_dout:prop.Cv_verify.Property.dout ())
+
+let test_scratch_same_verdict () =
+  List.iter
+    (fun (name, net, prop, ((verdict, decisive) as expected)) ->
+      List.iter
+        (fun timeout ->
+          let deadline =
+            Option.map (fun seconds -> Cv_util.Deadline.make ~seconds) timeout
+          in
+          let label what =
+            Printf.sprintf "%s, %s, %s" name what
+              (match timeout with None -> "no deadline" | Some _ -> "3600 s")
+          in
+          let pair = Alcotest.(pair string (option string)) in
+          let o = Cv_core.Strategy.solve_original ?deadline net prop in
+          Alcotest.(check string) (label "solve_original") verdict
+            (containment_name o.Cv_core.Strategy.verdict);
+          let chain =
+            o.Cv_core.Strategy.artifact.Cv_artifacts.Artifacts.state_abstractions
+          in
+          (match chain with
+          | Some s ->
+            Alcotest.(check int) (label "chain length") 2 (Array.length s);
+            Alcotest.(check bool) (label "S_n within D_out") true
+              (Cv_interval.Box.subset_tol s.(1) prop.Cv_verify.Property.dout)
+          | None -> ());
+          Alcotest.(check bool) (label "chain iff abstract-box decided")
+            (decisive = Some "abstract-box") (chain <> None);
+          Alcotest.check pair (label "batch") expected
+            (batch_verify ?timeout net prop);
+          let cache = Cv_artifacts.Cache.create () in
+          Alcotest.check pair (label "cached batch") expected
+            (batch_verify ~cache ?timeout net prop);
+          (* One chain build, and no Lipschitz lookup without an
+             artifact to write. *)
+          let stats = Cv_artifacts.Cache.stats cache in
+          Alcotest.(check (pair int int)) (label "cache hits/misses") (0, 1)
+            (stats.Cv_artifacts.Cache.hits, stats.Cv_artifacts.Cache.misses);
+          let r = svusc_tail ?deadline net prop in
+          Alcotest.check pair (label "svusc tail") expected
+            (verdict_name r, r.Cv_core.Report.decisive))
+        [ None; Some 3600. ])
+    (scratch_cases ())
+
+let test_scratch_expired_deadline () =
+  List.iter
+    (fun (name, net, prop, _) ->
+      let deadline = Cv_util.Deadline.make ~seconds:(-1.) in
+      Alcotest.(check string) (name ^ ": solve_original") "exhausted"
+        (containment_name
+           (Cv_core.Strategy.solve_original ~deadline net prop)
+             .Cv_core.Strategy.verdict);
+      Alcotest.(check string) (name ^ ": batch") "exhausted"
+        (fst (batch_verify ~timeout:(-1.) net prop));
+      Alcotest.(check string) (name ^ ": svusc tail") "exhausted"
+        (verdict_name (svusc_tail ~deadline net prop)))
+    (scratch_cases ())
 
 let slabs_cover_prop =
   QCheck.Test.make ~name:"enlargement slabs exactly cover the delta region"
@@ -606,4 +753,9 @@ let () =
           Alcotest.test_case "report conclude" `Quick test_report_conclude;
           Alcotest.test_case "ratio" `Quick test_ratio;
           QCheck_alcotest.to_alcotest slabs_cover_prop;
-          QCheck_alcotest.to_alcotest strategy_soundness_prop ] ) ]
+          QCheck_alcotest.to_alcotest strategy_soundness_prop ] );
+      ( "from-scratch",
+        [ Alcotest.test_case "same verdict across callers" `Quick
+            test_scratch_same_verdict;
+          Alcotest.test_case "expired deadline exhausts" `Quick
+            test_scratch_expired_deadline ] ) ]

@@ -163,66 +163,6 @@ let test_containment_check_degrades () =
       (Cv_verify.Containment.reason_name u.Cv_verify.Containment.reason)
   | _ -> Alcotest.fail "expected structured Unknown under a spent budget"
 
-let test_verify_graceful_degrades () =
-  let net = relu_net 5 [ 2; 5; 3; 1 ] in
-  let prop = small_prop net in
-  let report =
-    Cv_verify.Verifier.verify_graceful ~deadline:(expired_deadline ()) net prop
-  in
-  match report.Cv_verify.Verifier.verdict with
-  | Cv_verify.Containment.Unknown
-      { Cv_verify.Containment.reason = Cv_verify.Containment.Timeout; _ } ->
-    ()
-  | _ -> Alcotest.fail "expected timeout-Unknown from the escalation chain"
-
-let test_verify_graceful_unhurried () =
-  (* With a generous budget the chain must still prove easy properties. *)
-  let net = relu_net 5 [ 2; 5; 3; 1 ] in
-  let prop = small_prop net in
-  let report =
-    Cv_verify.Verifier.verify_graceful
-      ~deadline:(Cv_util.Deadline.make ~seconds:3600.)
-      net prop
-  in
-  match report.Cv_verify.Verifier.verdict with
-  | Cv_verify.Containment.Proved -> ()
-  | _ -> Alcotest.fail "easy property should be proved within a huge budget"
-
-(* Regression: verify_graceful's bookkeeping used to let a later rung's
-   looser certified bound overwrite an earlier rung's tighter one. *)
-let test_prefer_unknown_keeps_tightest () =
-  let unk bound =
-    { Cv_verify.Containment.reason = Cv_verify.Containment.Timeout;
-      message = "t";
-      best_bound = bound }
-  in
-  let e1 = Cv_verify.Containment.Abstract Cv_domains.Analyzer.Symint in
-  let e2 = Cv_verify.Containment.Milp in
-  let bound_of = function
-    | Some (u, _) -> u.Cv_verify.Containment.best_bound
-    | None -> Alcotest.fail "expected a kept unknown"
-  in
-  (* A certified bound beats none. *)
-  let kept =
-    Cv_verify.Verifier.prefer_unknown
-      (Cv_verify.Verifier.prefer_unknown None (unk None) e1)
-      (unk (Some 3.)) e2
-  in
-  Alcotest.(check (option (float 1e-9))) "bound beats none" (Some 3.)
-    (bound_of kept);
-  (* A later rung returning a looser bound must not overwrite. *)
-  let kept = Cv_verify.Verifier.prefer_unknown kept (unk (Some 7.)) e1 in
-  Alcotest.(check (option (float 1e-9))) "looser bound ignored" (Some 3.)
-    (bound_of kept);
-  (* A later bound-less unknown must not erase the certificate. *)
-  let kept = Cv_verify.Verifier.prefer_unknown kept (unk None) e1 in
-  Alcotest.(check (option (float 1e-9))) "bound survives bound-less rung"
-    (Some 3.) (bound_of kept);
-  (* A tighter bound does replace. *)
-  let kept = Cv_verify.Verifier.prefer_unknown kept (unk (Some 1.5)) e2 in
-  Alcotest.(check (option (float 1e-9))) "tighter bound adopted" (Some 1.5)
-    (bound_of kept)
-
 let test_analyzer_expiry () =
   let net = relu_net 7 [ 3; 6; 4; 1 ] in
   let din = Cv_interval.Box.uniform 3 ~lo:0. ~hi:1. in
@@ -318,12 +258,6 @@ let () =
       ( "verdicts",
         [ Alcotest.test_case "containment degrades" `Quick
             test_containment_check_degrades;
-          Alcotest.test_case "graceful chain degrades" `Quick
-            test_verify_graceful_degrades;
-          Alcotest.test_case "graceful chain proves" `Quick
-            test_verify_graceful_unhurried;
-          Alcotest.test_case "prefer_unknown tightest bound" `Quick
-            test_prefer_unknown_keeps_tightest;
           Alcotest.test_case "analyzer expiry" `Quick test_analyzer_expiry;
           Alcotest.test_case "split cert degrades" `Quick
             test_split_cert_degrades;

@@ -138,29 +138,33 @@ let test_trace_disabled_is_transparent () =
   Cv_util.Trace.add_attr "k" "v"
 
 let test_trace_end_to_end () =
-  (* A real solver run under tracing: verify_graceful produces a
-     verify_graceful root with one rung child per escalation step. *)
+  (* A real solver run under tracing: solve_original's from-scratch
+     decision records one strategy.attempt span per step under the
+     strategy.original root — abstract-box, then full, since only the
+     full engine proves Figure 2's tight bound. *)
   let net = fig2_net () in
   let prop =
     Cv_verify.Property.make ~din:fig2_box
-      ~dout:(Cv_interval.Box.of_bounds [| -1. |] [| 12.5 |])
+      ~dout:(Cv_interval.Box.of_bounds [| -0.1 |] [| 6.1 |])
   in
   Cv_util.Trace.enable ();
-  ignore (Cv_verify.Verifier.verify_graceful net prop);
+  ignore (Cv_core.Strategy.solve_original net prop);
   Cv_util.Trace.disable ();
   let open Cv_util.Json in
   let roots = to_list (member "trace" (Cv_util.Trace.to_json ())) in
-  let graceful =
-    List.find
-      (fun s -> to_str (member "name" s) = "verify_graceful")
-      roots
+  let original =
+    List.find (fun s -> to_str (member "name" s) = "strategy.original") roots
   in
-  let rungs =
-    List.filter
-      (fun s -> to_str (member "name" s) = "verify_graceful.rung")
-      (to_list (member "children" graceful))
+  let attempts =
+    List.filter_map
+      (fun s ->
+        if to_str (member "name" s) = "strategy.attempt" then
+          Some (to_str (member "name" (member "attrs" s)))
+        else None)
+      (to_list (member "children" original))
   in
-  Alcotest.(check bool) "at least one rung recorded" true (rungs <> [])
+  Alcotest.(check (list string)) "attempt spans" [ "abstract-box"; "full" ]
+    attempts
 
 (* ------------------------------------------------------------------ *)
 (* Consistency under Parallel                                          *)

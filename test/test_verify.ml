@@ -391,41 +391,8 @@ let test_ladder_expired_deadline () =
   | _ -> Alcotest.fail "an expired deadline must give Unknown (timeout)"
 
 (* ------------------------------------------------------------------ *)
-(* Verifier + Range                                                    *)
+(* Containment + Range                                                *)
 (* ------------------------------------------------------------------ *)
-
-let test_verifier_with_abstractions () =
-  let net = fig2_net () in
-  let prop =
-    Cv_verify.Property.make
-      ~din:(Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1.)
-      ~dout:(Cv_interval.Box.of_bounds [| -1. |] [| 12.5 |])
-  in
-  let r = Cv_verify.Verifier.verify_with_abstractions net prop in
-  (match r.Cv_verify.Verifier.report.Cv_verify.Verifier.verdict with
-  | Cv_verify.Containment.Proved -> ()
-  | _ -> Alcotest.fail "should prove");
-  match r.Cv_verify.Verifier.abstractions with
-  | Some s ->
-    Alcotest.(check int) "chain length" 2 (Array.length s);
-    Alcotest.(check bool) "S_n within dout" true
-      (Cv_interval.Box.subset_tol s.(1) prop.Cv_verify.Property.dout)
-  | None -> Alcotest.fail "abstract proof should produce the chain"
-
-let test_verifier_fallback_engine () =
-  (* Tight property: abstractions fail, MILP fallback proves. *)
-  let net = fig2_net () in
-  let prop =
-    Cv_verify.Property.make
-      ~din:(Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1.)
-      ~dout:(Cv_interval.Box.of_bounds [| -0.1 |] [| 6.1 |])
-  in
-  let r = Cv_verify.Verifier.verify_with_abstractions net prop in
-  (match r.Cv_verify.Verifier.report.Cv_verify.Verifier.verdict with
-  | Cv_verify.Containment.Proved -> ()
-  | _ -> Alcotest.fail "milp fallback should prove 6.1 over [-1,1]^2");
-  Alcotest.(check bool) "no chain artifact from fallback" true
-    (r.Cv_verify.Verifier.abstractions = None)
 
 (* f(x) = relu(1 − 1000·(relu(x − p) + relu(p − x))): a spike of height
    1 and width 0.002 at [p]. *)
@@ -448,20 +415,13 @@ let test_spike_at_seed_violates () =
   let net = spike_net p in
   check_float "spike peak" 1. (Cv_nn.Network.eval net [| p |]).(0);
   let dout = Cv_interval.Box.of_bounds [| -1. |] [| 0.5 |] in
-  (match
-     Cv_verify.Containment.check Cv_verify.Containment.Milp net ~input_box:din
-       ~target:dout
-   with
+  match
+    Cv_verify.Containment.check Cv_verify.Containment.Milp net ~input_box:din
+      ~target:dout
+  with
   | Cv_verify.Containment.Violated v ->
     check_float "witness at the peak" p v.Cv_verify.Falsify.input.(0)
-  | _ -> Alcotest.fail "the spike exceeds 0.5: must be violated");
-  let r =
-    Cv_verify.Verifier.verify_with_abstractions net
-      (Cv_verify.Property.make ~din ~dout)
-  in
-  match r.Cv_verify.Verifier.report.Cv_verify.Verifier.verdict with
-  | Cv_verify.Containment.Violated _ -> ()
-  | _ -> Alcotest.fail "verify_with_abstractions must find the spike"
+  | _ -> Alcotest.fail "the spike exceeds 0.5: must be violated"
 
 (* Every bound query of one containment check shares one lowering: the
    2·d queries cold-solve once, then restart from the root state. *)
@@ -601,11 +561,7 @@ let () =
           Alcotest.test_case "infinite bounds" `Quick
             test_backward_respects_infinite_bounds ] );
       ( "verifier+range",
-        [ Alcotest.test_case "abstraction proof" `Quick
-            test_verifier_with_abstractions;
-          Alcotest.test_case "fallback proof" `Quick
-            test_verifier_fallback_engine;
-          Alcotest.test_case "spike at the MILP seed" `Quick
+        [ Alcotest.test_case "spike at the MILP seed" `Quick
             test_spike_at_seed_violates;
           Alcotest.test_case "containment lowers once" `Quick
             test_containment_lowers_once;
