@@ -754,7 +754,7 @@ let () =
           Alcotest.test_case "ratio" `Quick test_ratio;
           QCheck_alcotest.to_alcotest slabs_cover_prop;
           QCheck_alcotest.to_alcotest strategy_soundness_prop ] );
-      ( "from-scratch",
+      ( "scratch",
         [ Alcotest.test_case "same verdict across callers" `Quick
             test_scratch_same_verdict;
           Alcotest.test_case "expired deadline exhausts" `Quick

@@ -163,6 +163,29 @@ let test_containment_check_degrades () =
       (Cv_verify.Containment.reason_name u.Cv_verify.Containment.reason)
   | _ -> Alcotest.fail "expected structured Unknown under a spent budget"
 
+(* The from-scratch decision is a two-step chain — the box chain, then
+   the configured engine — bounded by one deadline. *)
+let test_verify_graceful_degrades () =
+  let net = relu_net 5 [ 2; 5; 3; 1 ] in
+  let prop = small_prop net in
+  let d = Cv_core.Strategy.decide ~deadline:(expired_deadline ()) net prop in
+  match d.Cv_core.Strategy.report.Cv_core.Report.verdict with
+  | Cv_core.Report.Exhausted _ -> ()
+  | _ -> Alcotest.fail "expected Exhausted from the from-scratch chain"
+
+let test_verify_graceful_unhurried () =
+  (* With a generous budget the chain must still prove easy properties. *)
+  let net = relu_net 5 [ 2; 5; 3; 1 ] in
+  let prop = small_prop net in
+  let d =
+    Cv_core.Strategy.decide
+      ~deadline:(Cv_util.Deadline.make ~seconds:3600.)
+      net prop
+  in
+  match d.Cv_core.Strategy.report.Cv_core.Report.verdict with
+  | Cv_core.Report.Safe -> ()
+  | _ -> Alcotest.fail "easy property should be proved within a huge budget"
+
 let test_analyzer_expiry () =
   let net = relu_net 7 [ 3; 6; 4; 1 ] in
   let din = Cv_interval.Box.uniform 3 ~lo:0. ~hi:1. in
@@ -258,6 +281,10 @@ let () =
       ( "verdicts",
         [ Alcotest.test_case "containment degrades" `Quick
             test_containment_check_degrades;
+          Alcotest.test_case "graceful chain degrades" `Quick
+            test_verify_graceful_degrades;
+          Alcotest.test_case "graceful chain proves" `Quick
+            test_verify_graceful_unhurried;
           Alcotest.test_case "analyzer expiry" `Quick test_analyzer_expiry;
           Alcotest.test_case "split cert degrades" `Quick
             test_split_cert_degrades;

@@ -391,8 +391,46 @@ let test_ladder_expired_deadline () =
   | _ -> Alcotest.fail "an expired deadline must give Unknown (timeout)"
 
 (* ------------------------------------------------------------------ *)
-(* Containment + Range                                                *)
+(* Verifier + Range                                                    *)
 (* ------------------------------------------------------------------ *)
+
+(* The from-scratch decision (the box chain, then the configured
+   engine): a loose D_out is proved by the chain, which comes back as
+   the proof's S_1..S_n. *)
+let test_verifier_with_abstractions () =
+  let net = fig2_net () in
+  let prop =
+    Cv_verify.Property.make
+      ~din:(Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1.)
+      ~dout:(Cv_interval.Box.of_bounds [| -1. |] [| 12.5 |])
+  in
+  let d = Cv_core.Strategy.decide net prop in
+  (match d.Cv_core.Strategy.report.Cv_core.Report.verdict with
+  | Cv_core.Report.Safe -> ()
+  | _ -> Alcotest.fail "should prove");
+  match d.Cv_core.Strategy.chain with
+  | Some s ->
+    Alcotest.(check int) "chain length" 2 (Array.length s);
+    Alcotest.(check bool) "S_n within dout" true
+      (Cv_interval.Box.subset_tol s.(1) prop.Cv_verify.Property.dout)
+  | None -> Alcotest.fail "abstract proof should produce the chain"
+
+let test_verifier_fallback_engine () =
+  (* Tight property: the box chain fails, the full engine proves. *)
+  let net = fig2_net () in
+  let prop =
+    Cv_verify.Property.make
+      ~din:(Cv_interval.Box.uniform 2 ~lo:(-1.) ~hi:1.)
+      ~dout:(Cv_interval.Box.of_bounds [| -0.1 |] [| 6.1 |])
+  in
+  let d = Cv_core.Strategy.decide net prop in
+  (match d.Cv_core.Strategy.report.Cv_core.Report.verdict with
+  | Cv_core.Report.Safe -> ()
+  | _ -> Alcotest.fail "the full engine should prove 6.1 over [-1,1]^2");
+  Alcotest.(check (option string)) "decided by the full engine"
+    (Some "full") d.Cv_core.Strategy.report.Cv_core.Report.decisive;
+  Alcotest.(check bool) "no chain artifact from fallback" true
+    (d.Cv_core.Strategy.chain = None)
 
 (* f(x) = relu(1 − 1000·(relu(x − p) + relu(p − x))): a spike of height
    1 and width 0.002 at [p]. *)
@@ -415,13 +453,19 @@ let test_spike_at_seed_violates () =
   let net = spike_net p in
   check_float "spike peak" 1. (Cv_nn.Network.eval net [| p |]).(0);
   let dout = Cv_interval.Box.of_bounds [| -1. |] [| 0.5 |] in
-  match
-    Cv_verify.Containment.check Cv_verify.Containment.Milp net ~input_box:din
-      ~target:dout
-  with
+  (match
+     Cv_verify.Containment.check Cv_verify.Containment.Milp net ~input_box:din
+       ~target:dout
+   with
   | Cv_verify.Containment.Violated v ->
     check_float "witness at the peak" p v.Cv_verify.Falsify.input.(0)
-  | _ -> Alcotest.fail "the spike exceeds 0.5: must be violated"
+  | _ -> Alcotest.fail "the spike exceeds 0.5: must be violated");
+  let d =
+    Cv_core.Strategy.decide net (Cv_verify.Property.make ~din ~dout)
+  in
+  match d.Cv_core.Strategy.report.Cv_core.Report.verdict with
+  | Cv_core.Report.Unsafe _ -> ()
+  | _ -> Alcotest.fail "the from-scratch decision must find the spike"
 
 (* Every bound query of one containment check shares one lowering: the
    2·d queries cold-solve once, then restart from the root state. *)
@@ -561,7 +605,11 @@ let () =
           Alcotest.test_case "infinite bounds" `Quick
             test_backward_respects_infinite_bounds ] );
       ( "verifier+range",
-        [ Alcotest.test_case "spike at the MILP seed" `Quick
+        [ Alcotest.test_case "abstraction proof" `Quick
+            test_verifier_with_abstractions;
+          Alcotest.test_case "fallback proof" `Quick
+            test_verifier_fallback_engine;
+          Alcotest.test_case "spike at the MILP seed" `Quick
             test_spike_at_seed_violates;
           Alcotest.test_case "containment lowers once" `Quick
             test_containment_lowers_once;
