@@ -191,22 +191,31 @@ let of_json j =
    are still accepted on load, without integrity checking. *)
 let envelope_version = 2
 
-let checksum_of payload = Digest.to_hex (Digest.string (Cv_util.Json.to_string payload))
-
-let envelope_doc ~format payload =
-  Cv_util.Json.Obj
-    [ ("format", Cv_util.Json.Str format);
-      ("version", Cv_util.Json.of_int envelope_version);
-      ("checksum", Cv_util.Json.Str (checksum_of payload));
-      ("payload", payload) ]
+(* The checksum is the MD5 of the payload's compact rendering. *)
+let checksum rendered = Digest.to_hex (Digest.string rendered)
 
 (** [save_doc ~format path payload] writes any JSON payload inside the
     checksummed envelope through the store's one atomic durable writer
     ({!Atomic_write.write}: unique tmp file, fsync, rename — crash
     mid-write never damages the target, concurrent writers never clobber
-    each other). *)
+    each other). The payload is rendered once: the checksum is taken
+    over that rendering and the same bytes are spliced in as the last
+    member, so the file is exactly [Json.to_string] of the envelope
+    object. *)
 let save_doc ~format path payload =
-  Atomic_write.write path (Cv_util.Json.to_string (envelope_doc ~format payload))
+  let rendered = Cv_util.Json.to_string payload in
+  let buf = Buffer.create (String.length rendered + 128) in
+  Cv_util.Json.to_buffer buf
+    (Cv_util.Json.Obj
+       [ ("format", Cv_util.Json.Str format);
+         ("version", Cv_util.Json.of_int envelope_version);
+         ("checksum", Cv_util.Json.Str (checksum rendered)) ]);
+  (* Reopen the object: drop its closing brace, append the payload. *)
+  Buffer.truncate buf (Buffer.length buf - 1);
+  Buffer.add_string buf ",\"payload\":";
+  Buffer.add_string buf rendered;
+  Buffer.add_char buf '}';
+  Atomic_write.write path (Buffer.contents buf)
 
 (** [save path t] writes the artifact bundle via {!save_doc}. *)
 let save path t = save_doc ~format:"contiver-proof" path (to_json t)
@@ -259,7 +268,7 @@ let load_doc_result ~format path =
                     format declared))
           else begin
             let stored = Cv_util.Json.to_str (Cv_util.Json.member "checksum" j) in
-            let actual = checksum_of payload in
+            let actual = checksum (Cv_util.Json.to_string payload) in
             if not (String.equal stored actual) then
               Error
                 (Corrupt

@@ -20,8 +20,12 @@ let leq ?(tol = eps) a b = a <= b +. tol
 (** [geq ?tol a b] is [a >= b] up to tolerance. *)
 let geq ?(tol = eps) a b = a >= b -. tol
 
-(** [clamp ~lo ~hi x] restricts [x] to the closed interval [[lo, hi]]. *)
-let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
+(** [clamp ~lo ~hi x] restricts [x] to the closed interval [[lo, hi]];
+    NaN comes back unchanged. The annotation makes the comparisons
+    float ones: left polymorphic, each call boxes its arguments and
+    goes through the runtime's generic compare. *)
+let clamp ~lo ~hi (x : float) =
+  if x < lo then lo else if x > hi then hi else x
 
 (** [is_finite x] is true when [x] is neither NaN nor infinite. *)
 let is_finite x = Float.is_finite x

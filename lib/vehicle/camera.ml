@@ -53,6 +53,8 @@ let column_of cfg ~distance ~lateral =
 let capture ?rng cfg cond track (pose : Track.pose) =
   let img = Array.make (pixels cfg) 0. in
   let s0 = Track.nearest_s track pose in
+  let cos_yaw = cos pose.Track.yaw and sin_yaw = sin pose.Track.yaw in
+  let sigma = cfg.lane_sigma *. float_of_int cfg.width in
   for r = 0 to cfg.height - 1 do
     let t = float_of_int r /. float_of_int (max 1 (cfg.height - 1)) in
     let distance = Cv_util.Float_utils.lerp cfg.near cfg.far t in
@@ -61,11 +63,10 @@ let capture ?rng cfg cond track (pose : Track.pose) =
     let target = Track.point_at track (s0 +. distance) in
     let dx = target.Track.x -. pose.Track.px
     and dy = target.Track.y -. pose.Track.py in
-    let forward = (dx *. cos pose.Track.yaw) +. (dy *. sin pose.Track.yaw) in
-    let lateral = (-.dx *. sin pose.Track.yaw) +. (dy *. cos pose.Track.yaw) in
+    let forward = (dx *. cos_yaw) +. (dy *. sin_yaw) in
+    let lateral = (-.dx *. sin_yaw) +. (dy *. cos_yaw) in
     if forward > 0.05 then begin
       let center_col = column_of cfg ~distance:forward ~lateral in
-      let sigma = cfg.lane_sigma *. float_of_int cfg.width in
       for c = 0 to cfg.width - 1 do
         let d = (float_of_int c -. center_col) /. sigma in
         let v = exp (-0.5 *. d *. d) in

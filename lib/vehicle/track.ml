@@ -80,17 +80,21 @@ let curvature_at t s =
 type pose = { px : float; py : float; yaw : float }
 
 (** [nearest_s t pose] is the arc length of the centerline point closest
-    to the pose. *)
+    to the pose (the first one on a tie). A linear scan with squared
+    distances as products: [x ** 2.] goes through libm [pow], which
+    made this scan most of a simulated frame. *)
 let nearest_s t pose =
+  let px = pose.px and py = pose.py in
   let best = ref 0 and best_d = ref Float.infinity in
-  Array.iteri
-    (fun i p ->
-      let d = ((p.x -. pose.px) ** 2.) +. ((p.y -. pose.py) ** 2.) in
-      if d < !best_d then begin
-        best_d := d;
-        best := i
-      end)
-    t.centerline;
+  for i = 0 to Array.length t.centerline - 1 do
+    let p = t.centerline.(i) in
+    let dx = p.x -. px and dy = p.y -. py in
+    let d = (dx *. dx) +. (dy *. dy) in
+    if d < !best_d then begin
+      best_d := d;
+      best := i
+    end
+  done;
   t.cum_s.(!best)
 
 (** [lateral_offset t pose] is the signed distance from the centerline

@@ -151,6 +151,60 @@ let test_file_roundtrip () =
       let a' = Cv_artifacts.Artifacts.load path in
       Alcotest.(check bool) "file roundtrip" true (artifact_equal a a'))
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* [write path] must produce the version-2 envelope as one JSON object,
+   payload last, with the MD5 of the payload's own rendering — exactly
+   these bytes — and [load_doc_result] must verify and return it. *)
+let check_envelope name ~format payload write =
+  let open Cv_util.Json in
+  let path = Filename.temp_file "cv_envelope" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      write path;
+      Alcotest.(check string) name
+        (to_string
+           (Obj
+              [ ("format", Str format);
+                ("version", of_int 2);
+                ("checksum", Str (Digest.to_hex (Digest.string (to_string payload))));
+                ("payload", payload) ]))
+        (read_file path);
+      match Cv_artifacts.Artifacts.load_doc_result ~format path with
+      | Ok p -> Alcotest.(check string) (name ^ " loads") (to_string payload) (to_string p)
+      | Error e -> Alcotest.fail (Cv_artifacts.Artifacts.load_error_message e))
+
+let test_save_doc_bytes () =
+  let open Cv_util.Json in
+  let a = make_artifact () in
+  check_envelope "artifact" ~format:"contiver-proof"
+    (Cv_artifacts.Artifacts.to_json a) (fun path ->
+      Cv_artifacts.Artifacts.save path a);
+  let progress = Obj [ ("round", of_int 3); ("pending", List [ Num 0.25 ]) ] in
+  check_envelope "runstate checkpoint" ~format:"contiver-checkpoint"
+    (Obj
+       [ ("kind", Str "serve");
+         ("fingerprint", Str "v2:abc");
+         ("scope", Str "s:1");
+         ("payload", progress) ])
+    (fun path ->
+      Cv_core.Runstate.save ~scope:"s:1" ~path ~kind:Cv_core.Runstate.Serve
+        ~fingerprint:"v2:abc" progress);
+  let odd =
+    Obj
+      [ ("quote\"back\\slash", Str "tab\tnl\nctl\001\"");
+        ("nan", Num Float.nan);
+        ("inf", List [ Num Float.infinity; Num Float.neg_infinity; Num (-0.) ]);
+        ("tiny", Num 1e-300) ]
+  in
+  check_envelope "escapes and nan" ~format:"odd \"format\"" odd (fun path ->
+      Cv_artifacts.Artifacts.save_doc ~format:"odd \"format\"" path odd)
+
 let test_rejects_wrong_format () =
   try
     ignore (Cv_artifacts.Artifacts.of_json (Cv_util.Json.parse "{\"a\": 1}"));
@@ -174,5 +228,6 @@ let () =
           Alcotest.test_case "json roundtrip (no chain)" `Quick
             test_json_roundtrip_no_abs;
           Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
+          Alcotest.test_case "save_doc bytes" `Quick test_save_doc_bytes;
           Alcotest.test_case "rejects wrong format" `Quick
             test_rejects_wrong_format ] ) ]

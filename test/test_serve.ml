@@ -460,9 +460,9 @@ let test_cli_stdin_round () =
   Alcotest.(check string) "stopped at eof" "eof"
     (Json.to_str (Json.member "stop" status))
 
-(* SIGKILL the daemon mid-loop and resume from its checkpoint: the
-   resumed run must reach the same final status as an uninterrupted
-   reference run, replaying the finished round from its done-file. *)
+(* Kill the daemon mid-loop and resume from its checkpoint: the resumed
+   run must reach the same final status as an uninterrupted reference
+   run, replaying the finished round from its done-file. *)
 let test_cli_kill_and_resume () =
   let drive_args =
     [ "serve"; "--drive"; "--rounds"; "2"; "--drive-steps"; "400";
@@ -473,39 +473,36 @@ let test_cli_kill_and_resume () =
   let reference = final_status text in
   Alcotest.(check int) "reference rounds" 2
     (Json.to_int (Json.member "rounds" reference));
-  (* Same run, checkpointed at every tick; kill it once the first
-     round's done-file has landed. *)
+  (* Same run, checkpointed at every tick, dying at a fixed durable
+     write: the 9th is the second serve-state write after round 1's
+     done-file has landed (the 8th to the 11th all fall between that
+     done-file and round 2). The fault is armed in the child's
+     environment only. *)
   let dir = Filename.concat tmp_dir "serve_ck" in
   ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
   let ck_args =
     drive_args @ [ "--checkpoint-dir"; dir; "--checkpoint-every"; "0" ]
   in
-  let done_file = Filename.concat dir "round-0001-svudc.done.json" in
+  let env =
+    Array.append
+      [| "CONTIVER_FAULTS=kill-mid-checkpoint:every=9" |]
+      (Array.of_list
+         (List.filter
+            (fun kv -> not (String.starts_with ~prefix:"CONTIVER_FAULTS=" kv))
+            (Array.to_list (Unix.environment ()))))
+  in
   let dev_null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   let pid =
-    Unix.create_process exe
+    Unix.create_process_env exe
       (Array.of_list (exe :: ck_args))
-      Unix.stdin dev_null dev_null
+      env Unix.stdin dev_null dev_null
   in
-  let deadline = Unix.gettimeofday () +. 60. in
-  let rec wait_for_done_file () =
-    if Sys.file_exists done_file then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      (* The toy rounds are fast; the run may legitimately finish before
-         we get to kill it — resume must still reproduce the result. *)
-      match Unix.waitpid [ Unix.WNOHANG ] pid with
-      | 0, _ ->
-        Unix.sleepf 0.005;
-        wait_for_done_file ()
-      | _ -> true
-    end
-  in
-  let landed = wait_for_done_file () in
+  let _, status = Unix.waitpid [] pid in
   Unix.close dev_null;
-  Alcotest.(check bool) "first round done-file observed" true landed;
-  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-  (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+  Alcotest.(check bool) "faulted run dies" true
+    (match status with Unix.WEXITED 0 -> false | _ -> true);
+  Alcotest.(check bool) "first round done-file landed" true
+    (Sys.file_exists (Filename.concat dir "round-0001-svudc.done.json"));
   let code, text =
     run_out (ck_args @ [ "--resume-checkpoint" ])
   in

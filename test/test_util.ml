@@ -23,6 +23,35 @@ let test_clamp () =
   check_float "above" 1. (Cv_util.Float_utils.clamp ~lo:0. ~hi:1. 3.);
   check_float "inside" 0.5 (Cv_util.Float_utils.clamp ~lo:0. ~hi:1. 0.5)
 
+(* [clamp] with its argument left polymorphic: the same body under the
+   runtime's generic compare, which orders floats as IEEE does (NaN is
+   unordered). The float-typed [clamp] must return the same bits. *)
+let clamp_poly ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
+
+let test_clamp_edges () =
+  let clamp = Cv_util.Float_utils.clamp in
+  let bits = Int64.bits_of_float in
+  Alcotest.(check bool) "nan in, nan out" true
+    (Float.is_nan (clamp ~lo:0. ~hi:1. Float.nan));
+  Alcotest.(check int64) "-0. kept" (bits (-0.)) (bits (clamp ~lo:0. ~hi:1. (-0.)));
+  check_float "+inf clamped" 1.5 (clamp ~lo:0. ~hi:1.5 Float.infinity);
+  check_float "-inf clamped" 0. (clamp ~lo:0. ~hi:1.5 Float.neg_infinity);
+  let xs =
+    [ Float.nan; -0.; 0.; Float.infinity; Float.neg_infinity; -3.; 0.5; 1.;
+      3.; Float.min_float; -.Float.min_float; Float.max_float ]
+  in
+  let bounds = [ (0., 1.); (-1., 1.); (-0., 0.); (0., -0.); (0., 1.5) ] in
+  List.iter
+    (fun (lo, hi) ->
+      List.iter
+        (fun x ->
+          Alcotest.(check int64)
+            (Printf.sprintf "clamp ~lo:%h ~hi:%h %h" lo hi x)
+            (bits (clamp_poly ~lo ~hi x))
+            (bits (clamp ~lo ~hi x)))
+        xs)
+    bounds
+
 let test_relu_lerp_sign () =
   check_float "relu neg" 0. (Cv_util.Float_utils.relu (-2.));
   check_float "relu pos" 2. (Cv_util.Float_utils.relu 2.);
@@ -377,6 +406,7 @@ let () =
     [ ( "float_utils",
         [ Alcotest.test_case "approx_eq" `Quick test_approx_eq;
           Alcotest.test_case "clamp" `Quick test_clamp;
+          Alcotest.test_case "clamp edge cases" `Quick test_clamp_edges;
           Alcotest.test_case "relu/lerp/sign" `Quick test_relu_lerp_sign;
           Alcotest.test_case "sum/max_abs" `Quick test_sum_max_abs ] );
       ( "rng",

@@ -284,6 +284,69 @@ let test_pipeline_build () =
       (Cv_vehicle.Pipeline.drift exp i > 0.)
   done
 
+(* The centerline scan as first written, squaring through [**] (libm
+   [pow]). [x ** 2.] and [x *. x] differ by one ulp on a small share of
+   doubles, so [Track.nearest_s]'s product form must be shown to pick
+   the same point, not assumed to. *)
+let nearest_s_pow (t : Cv_vehicle.Track.t) (pose : Cv_vehicle.Track.pose) =
+  let best = ref 0 and best_d = ref Float.infinity in
+  Array.iteri
+    (fun i (p : Cv_vehicle.Track.point) ->
+      let d =
+        ((p.Cv_vehicle.Track.x -. pose.Cv_vehicle.Track.px) ** 2.)
+        +. ((p.Cv_vehicle.Track.y -. pose.Cv_vehicle.Track.py) ** 2.)
+      in
+      if d < !best_d then begin
+        best_d := d;
+        best := i
+      end)
+    t.Cv_vehicle.Track.centerline;
+  t.Cv_vehicle.Track.cum_s.(!best)
+
+let test_nearest_s_reference () =
+  let t = track () in
+  let mismatches = ref [] in
+  let same (pose : Cv_vehicle.Track.pose) =
+    let got = Cv_vehicle.Track.nearest_s t pose
+    and want = nearest_s_pow t pose in
+    if Int64.bits_of_float got <> Int64.bits_of_float want then
+      mismatches :=
+        Printf.sprintf "(%h, %h): %h, pow scan %h" pose.Cv_vehicle.Track.px
+          pose.Cv_vehicle.Track.py got want
+        :: !mismatches
+  in
+  (* Seeded poses in and around the stadium (x in [-2, 8], y in
+     [-2, 2]), plus the midpoint of every centerline segment, where two
+     samples tie. *)
+  let rng = Cv_util.Rng.create 2024 in
+  for _ = 1 to 10_000 do
+    same
+      { Cv_vehicle.Track.px = Cv_util.Rng.float rng ~lo:(-4.) ~hi:10.;
+        py = Cv_util.Rng.float rng ~lo:(-4.) ~hi:4.;
+        yaw = 0. }
+  done;
+  let c = t.Cv_vehicle.Track.centerline in
+  Array.iteri
+    (fun i (a : Cv_vehicle.Track.point) ->
+      let b = c.((i + 1) mod Array.length c) in
+      same
+        { Cv_vehicle.Track.px = 0.5 *. (a.Cv_vehicle.Track.x +. b.Cv_vehicle.Track.x);
+          py = 0.5 *. (a.Cv_vehicle.Track.y +. b.Cv_vehicle.Track.y);
+          yaw = 0. })
+    c;
+  (* Every pose of a seeded closed-loop drive under shifted conditions. *)
+  let exp = Cv_vehicle.Pipeline.build ~config:small_config () in
+  let monitor = Cv_monitor.Monitor.of_box exp.Cv_vehicle.Pipeline.din in
+  let _, trace =
+    Cv_vehicle.Controller.drive ~conditions:Cv_vehicle.Camera.shifted
+      ~rng:(Cv_util.Rng.create 31) ~track:t
+      ~perception:exp.Cv_vehicle.Pipeline.perception ~monitor ~steps:300
+      (Cv_vehicle.Controller.init t ~s:1.)
+  in
+  Alcotest.(check int) "drive length" 300 (List.length trace);
+  List.iter (fun tel -> same tel.Cv_vehicle.Controller.t_pose) trace;
+  Alcotest.(check (list string)) "nearest_s = pow scan" [] (List.rev !mismatches)
+
 let test_pipeline_determinism () =
   let a = Cv_vehicle.Pipeline.build ~config:small_config () in
   let b = Cv_vehicle.Pipeline.build ~config:small_config () in
@@ -305,7 +368,9 @@ let () =
           Alcotest.test_case "lateral sign" `Quick test_lateral_offset_sign;
           Alcotest.test_case "off track" `Quick test_off_track;
           Alcotest.test_case "render" `Quick test_render;
-          Alcotest.test_case "curvature" `Quick test_curvature ] );
+          Alcotest.test_case "curvature" `Quick test_curvature;
+          Alcotest.test_case "nearest_s = pow scan" `Quick
+            test_nearest_s_reference ] );
       ( "camera",
         [ Alcotest.test_case "shape/range" `Quick test_camera_shape_and_range;
           Alcotest.test_case "sees lane" `Quick test_camera_sees_lane;
