@@ -3,18 +3,17 @@
 
 Usage (from the repository root):
 
-    python3 scripts/perf_ab.py --parent REV --workloads W,... \\
-        --seeds 61-70 --seconds 20
+    python3 scripts/perf_ab.py --parent REV --workloads W,... --seeds 61-70
     python3 scripts/perf_ab.py --self-test
 
 The current checkout is the change side. REV is checked out with
 `git worktree add --detach` into a temporary directory outside the
 checkout, which is removed on exit. Pair i runs
 `perfbench/run.py --workload W --seed S --seconds N --trace 0` on both
-sides, the parent first on even i. Every result line is kept in a JSONL
-file under _build/perf_ab/. A run that exits non-zero or reports failed
-operations is printed with its side, seed and exit code, and the tool
-exits 1.
+sides, the parent first on even i, where N is BENCHMARK.json's
+run_seconds. Every result line is kept in a JSONL file under
+_build/perf_ab/. A run that exits non-zero or reports failed operations
+is printed with its side, seed and exit code, and the tool exits 1.
 
 For each workload and each end-to-end metric of BENCHMARK.json it
 prints both medians with q1-q3, the relative change, the change's wins
@@ -172,7 +171,6 @@ def main():
     ap.add_argument("--parent", help="git revision of the parent side")
     ap.add_argument("--workloads", help="comma-separated workload names")
     ap.add_argument("--seeds", default="61-70", help="e.g. 61-70 or 61,63")
-    ap.add_argument("--seconds", type=int, default=20)
     ap.add_argument("--self-test", action="store_true")
     a = ap.parse_args()
     if a.self_test:
@@ -205,7 +203,7 @@ def main():
                 for i, seed in enumerate(seeds):
                     order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
                     for side in order:
-                        code, res = run(roots[side], w, seed, a.seconds)
+                        code, res = run(roots[side], w, seed, spec["run_seconds"])
                         log.write(json.dumps({"workload": w, "pair": i, "seed": seed,
                                               "side": side, "exit": code,
                                               "result": res}) + "\n")

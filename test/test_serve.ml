@@ -474,60 +474,66 @@ let test_cli_kill_and_resume () =
   Alcotest.(check int) "reference rounds" 2
     (Json.to_int (Json.member "rounds" reference));
   (* Same run, checkpointed at every tick, dying at a fixed durable
-     write: the 9th is the second serve-state write after round 1's
+     write. At 9 that is the second serve-state write after round 1's
      done-file has landed (the 8th to the 11th all fall between that
-     done-file and round 2). The fault is armed in the child's
-     environment only. *)
+     done-file and round 2). At 5 the death falls in round 1's
+     attempt-log write, which the job supervisor retries, so the round
+     still commits and the process dies at the 10th write. The fault is
+     armed in the child's environment only. *)
   let dir = Filename.concat tmp_dir "serve_ck" in
-  ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
   let ck_args =
     drive_args @ [ "--checkpoint-dir"; dir; "--checkpoint-every"; "0" ]
   in
-  let env =
-    Array.append
-      [| "CONTIVER_FAULTS=kill-mid-checkpoint:every=9" |]
-      (Array.of_list
-         (List.filter
-            (fun kv -> not (String.starts_with ~prefix:"CONTIVER_FAULTS=" kv))
-            (Array.to_list (Unix.environment ()))))
+  let inherited =
+    List.filter
+      (fun kv -> not (String.starts_with ~prefix:"CONTIVER_FAULTS=" kv))
+      (Array.to_list (Unix.environment ()))
   in
-  let dev_null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  let pid =
-    Unix.create_process_env exe
-      (Array.of_list (exe :: ck_args))
-      env Unix.stdin dev_null dev_null
-  in
-  let _, status = Unix.waitpid [] pid in
-  Unix.close dev_null;
-  Alcotest.(check bool) "faulted run dies" true
-    (match status with Unix.WEXITED 0 -> false | _ -> true);
-  Alcotest.(check bool) "first round done-file landed" true
-    (Sys.file_exists (Filename.concat dir "round-0001-svudc.done.json"));
-  let code, text =
-    run_out (ck_args @ [ "--resume-checkpoint" ])
-  in
-  Alcotest.(check int) "resumed run exits 0" 0 code;
-  let resumed = final_status text in
   List.iter
-    (fun field ->
-      Alcotest.(check int)
-        ("resumed " ^ field ^ " matches reference")
-        (Json.to_int (Json.member field reference))
-        (Json.to_int (Json.member field resumed)))
-    [ "rounds"; "commits" ];
-  List.iter
-    (fun field ->
-      Alcotest.(check int)
-        ("resumed events." ^ field ^ " matches reference")
-        (events_field reference field)
-        (events_field resumed field))
-    [ "seen"; "ood"; "pending"; "rejected" ];
-  Alcotest.(check (float 1e-9)) "same committed box width"
-    (Json.to_float (Json.member "box_width" reference))
-    (Json.to_float (Json.member "box_width" resumed));
-  Alcotest.(check string) "same stop reason"
-    (Json.to_str (Json.member "stop" reference))
-    (Json.to_str (Json.member "stop" resumed))
+    (fun every ->
+      let at = Printf.sprintf "every=%d: " every in
+      ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
+      let env =
+        Array.of_list
+          (Printf.sprintf "CONTIVER_FAULTS=kill-mid-checkpoint:every=%d" every
+          :: inherited)
+      in
+      let dev_null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+      let pid =
+        Unix.create_process_env exe
+          (Array.of_list (exe :: ck_args))
+          env Unix.stdin dev_null dev_null
+      in
+      let _, status = Unix.waitpid [] pid in
+      Unix.close dev_null;
+      Alcotest.(check bool) (at ^ "faulted run dies") true
+        (match status with Unix.WEXITED 0 -> false | _ -> true);
+      Alcotest.(check bool) (at ^ "first round done-file landed") true
+        (Sys.file_exists (Filename.concat dir "round-0001-svudc.done.json"));
+      let code, text = run_out (ck_args @ [ "--resume-checkpoint" ]) in
+      Alcotest.(check int) (at ^ "resumed run exits 0") 0 code;
+      let resumed = final_status text in
+      List.iter
+        (fun field ->
+          Alcotest.(check int)
+            (at ^ "resumed " ^ field ^ " matches reference")
+            (Json.to_int (Json.member field reference))
+            (Json.to_int (Json.member field resumed)))
+        [ "rounds"; "commits" ];
+      List.iter
+        (fun field ->
+          Alcotest.(check int)
+            (at ^ "resumed events." ^ field ^ " matches reference")
+            (events_field reference field)
+            (events_field resumed field))
+        [ "seen"; "ood"; "pending"; "rejected" ];
+      Alcotest.(check (float 1e-9)) (at ^ "same committed box width")
+        (Json.to_float (Json.member "box_width" reference))
+        (Json.to_float (Json.member "box_width" resumed));
+      Alcotest.(check string) (at ^ "same stop reason")
+        (Json.to_str (Json.member "stop" reference))
+        (Json.to_str (Json.member "stop" resumed)))
+    [ 5; 9 ]
 
 let () =
   Alcotest.run "cv_serve"
