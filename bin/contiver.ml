@@ -31,9 +31,9 @@ let check_widen w =
     cli_fail "--widen %g: expected a finite slack >= 0" w
 
 (* Wrap a command body: its normal result is the exit code. Injected
-   faults, budget expiry and malformed JSON that escape the library's
-   own degradation layers are still rendered as one-line errors, never
-   a backtrace. *)
+   faults (an injected process death among them), budget expiry and
+   malformed JSON that escape the library's own degradation layers are
+   still rendered as one-line errors, never a backtrace. *)
 let run f =
   try f () with
   | Cli_error msg ->
@@ -48,7 +48,7 @@ let run f =
   | Cv_util.Deadline.Expired msg ->
     prerr_endline ("contiver: error: budget expired: " ^ msg);
     Cmd.Exit.some_error
-  | Cv_util.Fault.Injected msg ->
+  | Cv_util.Fault.Injected msg | Cv_util.Fault.Killed msg ->
     prerr_endline ("contiver: error: injected fault: " ^ msg);
     Cmd.Exit.some_error
 
@@ -270,7 +270,7 @@ let checkpoint_arg =
     & opt (some string) None
     & info [ "checkpoint" ] ~docv:"FILE"
         ~doc:
-          "Periodically snapshot the run's search state to $(docv) \
+          "Periodically snapshot the exact search's state to $(docv) \
            (atomic write, checksummed envelope), so a killed run can be \
            restarted with $(b,--resume-checkpoint).")
 
@@ -288,11 +288,11 @@ let resume_arg =
     & opt (some file) None
     & info [ "resume-checkpoint" ] ~docv:"FILE"
         ~doc:
-          "Restart from a checkpoint written by a previous (killed) run \
-           of the same command on the same network. The file's run \
-           kind, network fingerprint and property are validated before \
-           resuming. Unless $(b,--checkpoint) says otherwise, the run \
-           keeps checkpointing to the same file.")
+          "Restart from a checkpoint written by a previous (killed) exact \
+           search on the same network. The file's run kind, network \
+           fingerprint and property are validated before resuming. \
+           Unless $(b,--checkpoint) says otherwise, the run keeps \
+           checkpointing to the same file.")
 
 (* Resolve the checkpoint flags into a cadenced sink plus the validated
    resume payload. [--resume-checkpoint] without [--checkpoint] keeps
@@ -300,7 +300,8 @@ let resume_arg =
    the property under verification: resuming an exact search recorded
    for a different D_in would replay completed query optima computed on
    the wrong domain, so a scope mismatch refuses to resume. *)
-let setup_checkpointing ~kind ~fingerprint ~scope ~checkpoint ~every ~resume =
+let setup_checkpointing ~fingerprint ~scope ~checkpoint ~every ~resume =
+  let kind = Cv_core.Runstate.Verify in
   let resume_payload =
     match resume with
     | None -> None
@@ -433,7 +434,7 @@ let verify verbose model property artifact_out emit_cert exact widen timeout
               widened chain)";
   Option.iter check_widen widen;
   let checkpoint, resume =
-    setup_checkpointing ~kind:Cv_core.Runstate.Verify
+    setup_checkpointing
       ~fingerprint:(Cv_artifacts.Artifacts.fingerprint net)
       ~scope:
         (Cv_core.Runstate.property_scope ~din:prop.Cv_verify.Property.din
@@ -558,28 +559,17 @@ let emit_incremental_cert ~mode ~path net ~din ~dout
     emit_cert_to ~din path None
 
 let svudc verbose model artifact new_din emit_cert engine timeout stats
-    trace_json checkpoint checkpoint_every resume =
+    trace_json =
   run @@ fun () ->
   setup_logs verbose;
   with_observability ~stats ~trace_json @@ fun () ->
   let net = load_network model in
   let artifact = load_artifact artifact in
   let new_din = load_box new_din in
-  let checkpoint, resume =
-    setup_checkpointing ~kind:Cv_core.Runstate.Svudc
-      ~fingerprint:(Cv_artifacts.Artifacts.fingerprint net)
-      ~scope:
-        (Cv_core.Runstate.property_scope ~din:new_din
-           ~dout:
-             artifact.Cv_artifacts.Artifacts.property.Cv_verify.Property.dout
-           ())
-      ~checkpoint ~every:checkpoint_every ~resume
-  in
   let p = Cv_core.Problem.svudc ~net ~artifact ~new_din in
   let config = { Cv_core.Strategy.default_config with Cv_core.Strategy.engine } in
   let report =
-    Cv_core.Strategy.solve_svudc ?deadline:(deadline_of timeout) ~config
-      ?checkpoint ?resume p
+    Cv_core.Strategy.solve_svudc ?deadline:(deadline_of timeout) ~config p
   in
   Option.iter
     (fun path ->
@@ -604,10 +594,10 @@ let svudc_cmd =
     Term.(
       const svudc $ verbose_arg $ model_arg () $ artifact_arg ~mode:`In
       $ new_din $ emit_cert_arg $ engine_arg $ timeout_arg $ stats_arg
-      $ trace_json_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg)
+      $ trace_json_arg)
 
 let svbtv verbose old_model new_model artifact new_din emit_cert engine slack
-    timeout stats trace_json checkpoint checkpoint_every resume =
+    timeout stats trace_json =
   run @@ fun () ->
   setup_logs verbose;
   with_observability ~stats ~trace_json @@ fun () ->
@@ -619,21 +609,6 @@ let svbtv verbose old_model new_model artifact new_din emit_cert engine slack
     | Some path -> load_box path
     | None -> artifact.Cv_artifacts.Artifacts.property.Cv_verify.Property.din
   in
-  (* The checkpoint is bound to the network under verification — the
-     fine-tuned successor — and, via the scope, to the reference
-     network the artifact speaks about. *)
-  let checkpoint, resume =
-    setup_checkpointing ~kind:Cv_core.Runstate.Svbtv
-      ~fingerprint:(Cv_artifacts.Artifacts.fingerprint new_net)
-      ~scope:
-        (Cv_core.Runstate.property_scope
-           ~old_fingerprint:(Cv_artifacts.Artifacts.fingerprint old_net)
-           ~din:new_din
-           ~dout:
-             artifact.Cv_artifacts.Artifacts.property.Cv_verify.Property.dout
-           ())
-      ~checkpoint ~every:checkpoint_every ~resume
-  in
   let p = Cv_core.Problem.svbtv ~old_net ~new_net ~artifact ~new_din in
   Printf.printf "parameter drift (Linf): %.5g\n" (Cv_core.Problem.drift p);
   let config =
@@ -642,8 +617,7 @@ let svbtv verbose old_model new_model artifact new_din emit_cert engine slack
       interval_slack = slack }
   in
   let report =
-    Cv_core.Strategy.solve_svbtv ?deadline:(deadline_of timeout) ~config
-      ?checkpoint ?resume p
+    Cv_core.Strategy.solve_svbtv ?deadline:(deadline_of timeout) ~config p
   in
   Option.iter
     (fun path ->
@@ -678,8 +652,7 @@ let svbtv_cmd =
     Term.(
       const svbtv $ verbose_arg $ old_model $ new_model
       $ artifact_arg ~mode:`In $ new_din $ emit_cert_arg $ engine_arg $ slack
-      $ timeout_arg $ stats_arg $ trace_json_arg $ checkpoint_arg
-      $ checkpoint_every_arg $ resume_arg)
+      $ timeout_arg $ stats_arg $ trace_json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* chaos                                                               *)
@@ -799,7 +772,7 @@ let chaos verbose seed rounds =
          resumed. *)
       (match ck_save round with
       | () -> ()
-      | exception Cv_util.Fault.Injected _ -> (
+      | exception Cv_util.Fault.Killed _ -> (
         match
           Cv_core.Runstate.load ~path:ck_path ~kind:Cv_core.Runstate.Verify
             ~fingerprint ~scope:None
@@ -1330,10 +1303,12 @@ let batch_cmd =
       & opt (some string) None
       & info [ "checkpoint-dir" ] ~docv:"DIR"
           ~doc:
-            "Per-job checkpointing: search state snapshots to \
-             $(docv)/<id>.ck.json and completed results to \
-             $(docv)/<id>.done.json. Re-running the same manifest replays \
-             completed jobs and resumes interrupted ones.")
+            "Per-job checkpointing: completed results to \
+             $(docv)/<id>.done.json, and the exact search's snapshots of \
+             $(b,verify-exact) jobs to $(docv)/<id>.ck.json. Re-running \
+             the same manifest replays completed jobs and resumes \
+             interrupted exact searches; any other interrupted job runs \
+             again from its first attempt.")
   in
   let report_out =
     Arg.(
@@ -1711,9 +1686,9 @@ let serve_cmd =
       & info [ "checkpoint-dir" ] ~docv:"DIR"
           ~doc:
             "Durable serving state: the loop state (serve.state.json) \
-             plus per-round search checkpoints and done-files, so a \
-             killed daemon restarted with $(b,--resume-checkpoint) \
-             replays finished rounds instead of re-verifying.")
+             plus per-round done-files, so a killed daemon restarted \
+             with $(b,--resume-checkpoint) replays finished rounds \
+             instead of re-verifying.")
   in
   let resume =
     Arg.(

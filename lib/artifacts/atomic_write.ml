@@ -26,7 +26,7 @@ let write path contents =
           it the previous document — stays intact. *)
        output_string oc (String.sub contents 0 (String.length contents / 2));
        close_out_noerr oc;
-       raise (Cv_util.Fault.Injected "kill-mid-checkpoint (injected)")
+       raise (Cv_util.Fault.Killed "kill-mid-checkpoint (injected)")
      end;
      output_string oc contents;
      flush oc;
@@ -35,7 +35,7 @@ let write path contents =
    with e ->
      close_out_noerr oc;
      (match e with
-     | Cv_util.Fault.Injected _ -> () (* a dead process cleans nothing *)
+     | Cv_util.Fault.Killed _ -> () (* a dead process cleans nothing *)
      | _ -> ( try Sys.remove tmp with Sys_error _ -> ()));
      raise e);
   Sys.rename tmp path

@@ -14,6 +14,6 @@
     cut in half before writing — a stand-in for a non-atomic writer or a
     disk fault, caught later by the envelope checksum) and
     [Kill_mid_checkpoint] (the process "dies" after half the tmp bytes:
-    the tmp file is abandoned and {!Cv_util.Fault.Injected} is raised;
+    the tmp file is abandoned and {!Cv_util.Fault.Killed} is raised;
     the target path stays intact). *)
 val write : string -> string -> unit

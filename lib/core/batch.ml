@@ -150,10 +150,9 @@ let done_path dir job = Filename.concat dir (sanitize job.id ^ ".done.json")
 
 let ck_path dir job = Filename.concat dir (sanitize job.id ^ ".ck.json")
 
-let spec_kind_fingerprint = function
-  | Verify { net; _ } -> (Runstate.Verify, Artifacts.fingerprint net)
-  | Svudc { net; _ } -> (Runstate.Svudc, Artifacts.fingerprint net)
-  | Svbtv { new_net; _ } -> (Runstate.Svbtv, Artifacts.fingerprint new_net)
+let spec_fingerprint = function
+  | Verify { net; _ } | Svudc { net; _ } -> Artifacts.fingerprint net
+  | Svbtv { new_net; _ } -> Artifacts.fingerprint new_net
 
 (* Digest of what the job verifies: the property's domains, plus (for
    svbtv) the reference network the artifact speaks about. Together
@@ -176,9 +175,8 @@ let spec_scope = function
    (fingerprint + property scope); replay validates id, mode,
    fingerprint and scope before trusting the recorded verdict. *)
 let done_doc job result =
-  let _, fingerprint = spec_kind_fingerprint job.spec in
   Json.Obj
-    [ ("fingerprint", Json.Str fingerprint);
+    [ ("fingerprint", Json.Str (spec_fingerprint job.spec));
       ("scope", Json.Str (spec_scope job.spec));
       ("result", job_result_to_json result) ]
 
@@ -202,7 +200,7 @@ let replay_done config job =
               (Artifacts.load_error_message e));
         None
       | Ok payload -> (
-        let _, fingerprint = spec_kind_fingerprint job.spec in
+        let fingerprint = spec_fingerprint job.spec in
         match
           ( Json.to_str (Json.member "fingerprint" payload),
             Json.to_str (Json.member "scope" payload),
@@ -220,12 +218,14 @@ let replay_done config job =
                  network/property — re-verifying" job.id);
           None))
 
-(* (checkpoint sink, resume payload, was a checkpoint found). *)
+(* (search-snapshot sink, resume payload). Only the exact search holds
+   resumable state: any other job re-runs its chain from the first
+   attempt and never reads an <id>.ck.json it finds (record_done deletes
+   it). *)
 let job_checkpointing config job =
-  match config.checkpoint_dir with
-  | None -> (None, None, false)
-  | Some dir ->
-    let kind, fingerprint = spec_kind_fingerprint job.spec in
+  match (config.checkpoint_dir, job.spec) with
+  | Some dir, Verify { exact = true; _ } ->
+    let kind = Runstate.Verify and fingerprint = spec_fingerprint job.spec in
     let scope = spec_scope job.spec in
     let path = ck_path dir job in
     let resume =
@@ -245,7 +245,8 @@ let job_checkpointing config job =
       Checkpoint.create ~every:config.checkpoint_every (fun payload ->
           Runstate.save ~scope ~path ~kind ~fingerprint payload)
     in
-    (Some sink, resume, Option.is_some resume)
+    (Some sink, resume)
+  | _ -> (None, None)
 
 let record_done config job result =
   match config.checkpoint_dir with
@@ -254,7 +255,9 @@ let record_done config job result =
     (try
        Artifacts.save_doc ~format:done_format (done_path dir job)
          (done_doc job result)
-     with e ->
+     with
+     | Cv_util.Fault.Killed _ as e -> raise e
+     | e ->
        Log.warn (fun m ->
            m "job %s: could not record done-file (%s)" job.id
              (Printexc.to_string e)));
@@ -313,7 +316,7 @@ let run_verify ~config ?deadline ?checkpoint ?resume ~net ~prop ~exact
        the same (net, D_in) skips the analysis entirely. *)
     let d =
       Strategy.decide ?cache:config.cache ?deadline ~config:config.strategy
-        ?checkpoint ?resume net prop
+        net prop
     in
     (match (artifact_out, d.Strategy.report.Report.verdict) with
     | Some path, Report.Safe ->
@@ -352,14 +355,12 @@ let dispatch ~config ?deadline ?checkpoint ?resume job =
   | Svudc { net; artifact; new_din } ->
     let p = Problem.svudc ~net ~artifact ~new_din in
     settled_of_report
-      (Strategy.solve_svudc ?deadline ~config:config.strategy ?checkpoint
-         ?resume p)
+      (Strategy.solve_svudc ?deadline ~config:config.strategy p)
   | Svbtv { old_net; new_net; artifact; new_din } ->
     let p = Problem.svbtv ~old_net ~new_net ~artifact ~new_din in
     let netabs = svbtv_netabs ~config ~old_net ~artifact ~new_din in
     settled_of_report
-      (Strategy.solve_svbtv ?deadline ~config:config.strategy ?netabs
-         ?checkpoint ?resume p)
+      (Strategy.solve_svbtv ?deadline ~config:config.strategy ?netabs p)
 
 let crashed_settled e =
   { s_verdict = Crashed;
@@ -397,22 +398,27 @@ let run_job ~config job =
         (fun seconds -> Deadline.make ~seconds)
         (match job.timeout with Some _ as t -> t | None -> config.job_timeout)
     in
-    let checkpoint, resume, resumed = job_checkpointing config job in
+    let checkpoint, resume = job_checkpointing config job in
     let settled, seconds =
       Timer.time (fun () ->
           (* Two layers of isolation: supervised retries for transient
              faults, then a catch-all so a hard crash (bad manifest
              entry, shape mismatch, unsupported network) degrades this
-             job alone. *)
+             job alone. An injected process death is no crash of the
+             job: it ends the run. *)
           try
             Supervisor.protect ~name:("batch.job:" ^ job.id)
               ~fallback:crashed_settled
               (fun () ->
                 dispatch ~config ?deadline ?checkpoint ?resume job)
-          with e -> crashed_settled e)
+          with
+          | Cv_util.Fault.Killed _ as e -> raise e
+          | e -> crashed_settled e)
     in
     if settled.s_verdict = Crashed then Metrics.incr m_crashed;
-    let result = row ~id:job.id ~mode ~seconds ~resumed settled in
+    let result =
+      row ~id:job.id ~mode ~seconds ~resumed:(Option.is_some resume) settled
+    in
     record_done config job result;
     result
 
@@ -466,6 +472,7 @@ let run ?(config = default_config) jobs =
       (Array.mapi
          (fun i -> function
            | Ok r -> r
+           | Error (Cv_util.Fault.Killed _ as e) -> raise e
            | Error e ->
              (* Paranoia: run_job already catches everything; a worker
                 domain dying outside it still degrades to one crashed

@@ -10,8 +10,9 @@
     {!Strategy.decide} for plain verify jobs,
     {!Strategy.solve_original_exact} for exact ones,
     {!Strategy.solve_svudc} / {!Strategy.solve_svbtv} for the
-    incremental modes, inheriting attempt-granular (or search-granular)
-    checkpoint/resume per job.
+    incremental modes. Only exact jobs keep resume state (the search's
+    snapshots); any other interrupted job re-runs its chain from the
+    first attempt.
 
     Artifact reuse: state-abstraction chains and Lipschitz constants go
     through {!Cv_artifacts.Cache} (content-addressed, single-flight), so
@@ -61,14 +62,17 @@ type config = {
   strategy : Strategy.config;
   cache : Cv_artifacts.Cache.t option;  (** [None] disables reuse *)
   checkpoint_dir : string option;
-      (** per-job search checkpoints ([<id>.ck.json]) and completed-job
-          results ([<id>.done.json]); an existing valid done-file lets a
-          re-run skip the job, an existing checkpoint resumes it. Both
-          are bound to the job's network fingerprint, mode and property
-          — a file recorded for a different verification question
-          (e.g. a retrained network under a reused directory) is
-          ignored and the job runs fresh *)
-  checkpoint_every : float;  (** checkpoint cadence, seconds *)
+      (** completed-job results ([<id>.done.json]) for every job, and
+          search snapshots ([<id>.ck.json]) for [verify-exact] jobs
+          only; an existing valid done-file lets a re-run skip the job,
+          an existing snapshot resumes the exact search. Both are bound
+          to the job's network fingerprint, mode and property — a file
+          recorded for a different verification question (e.g. a
+          retrained network under a reused directory) is ignored and
+          the job runs fresh. A completed job deletes its
+          [<id>.ck.json] *)
+  checkpoint_every : float;
+      (** search-snapshot cadence of [verify-exact] jobs, seconds *)
 }
 
 (** Sequential, no deadline, no cache, no checkpointing, default
@@ -86,7 +90,9 @@ type job_result = {
   decisive : string option;  (** attempt that settled it *)
   attempts : int;
   seconds : float;
-  resumed : bool;  (** replayed from a done-file or checkpoint *)
+  resumed : bool;
+      (** replayed from a done-file, or an exact search resumed from
+          its snapshot *)
   detail : string;
 }
 

@@ -66,36 +66,6 @@ let conclude attempts =
   let verdict, decisive = settle attempts in
   { attempts; verdict; total_wall; decisive }
 
-(* ------------------------------------------------------------------ *)
-(* Checkpoint serialisation                                            *)
-(* ------------------------------------------------------------------ *)
-
-(** [attempt_to_json a] encodes a non-decisive attempt for a strategy
-    checkpoint. Only [Inconclusive] attempts are ever checkpointed — a
-    decisive outcome ends the run — so anything else is an error. *)
-let attempt_to_json a =
-  let message =
-    match a.outcome with
-    | Inconclusive m -> m
-    | _ ->
-      invalid_arg
-        "Report.attempt_to_json: only inconclusive attempts are checkpointed"
-  in
-  Cv_util.Json.Obj
-    [ ("name", Cv_util.Json.Str a.name);
-      ("message", Cv_util.Json.Str message);
-      ("detail", Cv_util.Json.Str a.detail);
-      ("wall", Cv_util.Json.Num a.timing.wall) ]
-
-(** [attempt_of_json j] restores an attempt written by
-    {!attempt_to_json}; raises {!Cv_util.Json.Error} on malformed
-    input. *)
-let attempt_of_json j =
-  { name = Cv_util.Json.to_str (Cv_util.Json.member "name" j);
-    outcome = Inconclusive (Cv_util.Json.to_str (Cv_util.Json.member "message" j));
-    timing = sequential_timing (Cv_util.Json.to_float (Cv_util.Json.member "wall" j));
-    detail = Cv_util.Json.to_str (Cv_util.Json.member "detail" j) }
-
 (** [outcome_string o] is a short printable verdict. *)
 let outcome_string = function
   | Safe -> "SAFE"

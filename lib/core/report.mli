@@ -52,15 +52,6 @@ type t = {
     run. *)
 val conclude : attempt list -> t
 
-(** [attempt_to_json a] / [attempt_of_json j] encode non-decisive
-    attempts for strategy checkpoints. [attempt_to_json] raises
-    [Invalid_argument] on a decisive attempt (those end the run and are
-    never checkpointed); [attempt_of_json] raises
-    {!Cv_util.Json.Error} on malformed input. *)
-val attempt_to_json : attempt -> Cv_util.Json.t
-
-val attempt_of_json : Cv_util.Json.t -> attempt
-
 (** [outcome_string o] is a short printable verdict. *)
 val outcome_string : outcome -> string
 

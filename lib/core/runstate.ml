@@ -2,11 +2,11 @@
     verification run.
 
     A checkpoint file pairs a command-specific progress payload (a
-    {!Cv_verify.Range} progress document for [verify --exact], a
-    {!Strategy.run_until_decisive} attempt log for [svudc]/[svbtv])
-    with the run's {e kind}, the verified network's fingerprint and a
-    {e scope} digest of the property under verification, all inside the
-    checksummed atomic envelope of {!Cv_artifacts.Artifacts.save_doc}.
+    {!Cv_verify.Range} progress document for [verify --exact], the loop
+    state of [serve]) with the run's {e kind}, the verified network's
+    fingerprint and a {e scope} digest of the property under
+    verification, all inside the checksummed atomic envelope of
+    {!Cv_artifacts.Artifacts.save_doc}.
     Load validates all of them — checksum, kind, fingerprint, scope —
     through typed errors (mirroring {!Session.resume_file}), so a
     checkpoint can never silently resume the wrong run, the wrong
@@ -14,13 +14,9 @@
 
 let format = "contiver-checkpoint"
 
-type kind = Verify | Svudc | Svbtv | Serve
+type kind = Verify | Serve
 
-let kind_name = function
-  | Verify -> "verify"
-  | Svudc -> "svudc"
-  | Svbtv -> "svbtv"
-  | Serve -> "serve"
+let kind_name = function Verify -> "verify" | Serve -> "serve"
 
 type resume_error =
   | Corrupt_checkpoint of string

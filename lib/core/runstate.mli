@@ -4,7 +4,9 @@
     of them through typed errors, so a checkpoint never silently resumes
     the wrong run, the wrong network, or the wrong property. *)
 
-type kind = Verify | Svudc | Svbtv | Serve
+(** [Verify]: the exact search of [verify --exact] and batch
+    [verify-exact] jobs. [Serve]: the loop state of [contiver serve]. *)
+type kind = Verify | Serve
 
 (** [kind_name k] is the printable command name. *)
 val kind_name : kind -> string

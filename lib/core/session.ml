@@ -140,7 +140,8 @@ let observe s features = Monitor.observe_class s.monitor features
    [net] and extended over any domain growth. The chain is kept only
    when its [S_n] lies inside [D_out], as an artifact's chain must; a
    failed chain build degrades to an artifact without one, so the next
-   round starts from a coarser route. *)
+   round starts from a coarser route; an injected process death (a
+   killed cache write) ends the process instead. *)
 let refresh s net (prop : Property.t) =
   let cache = s.config.Batch.cache and strategy = s.config.Batch.strategy in
   let chain =
@@ -150,6 +151,7 @@ let refresh s net (prop : Property.t) =
     with
     | Ok c when Box.subset_tol c.(Array.length c - 1) prop.Property.dout ->
       Some c
+    | exception (Cv_util.Fault.Killed _ as e) -> raise e
     | Ok _ | Error _ | (exception _) -> None
   in
   let split_cert =

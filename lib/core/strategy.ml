@@ -154,39 +154,16 @@ let m_decisive = Cv_util.Metrics.counter "core.decisive"
 (* Run attempts lazily in order, stopping at the first decisive one.
    Budget expiry — either observed before launching an attempt or
    escaping one as Deadline.Expired — ends the run with a structured
-   Exhausted outcome instead of an exception.
-
-   Checkpointing is attempt-granular: after every inconclusive attempt
-   the accumulated (non-decisive) attempts are written through the sink,
-   and [resume] replays them — skipping that many thunks — so a killed
-   SVuDC/SVbTV run re-enters the chain exactly where it stopped. The
-   attempt list is a deterministic function of the problem and config,
-   which makes the positional skip sound. Each attempt also runs
+   Exhausted outcome instead of an exception. Each attempt runs
    supervised: a crashed attempt (beyond retries) becomes Inconclusive
-   and the chain continues with the next, coarser route. *)
-let run_until_decisive ?deadline ?checkpoint ?resume attempts =
+   and the chain continues with the next, coarser route. A chain keeps
+   no resume state: a killed run re-runs it from the first attempt. *)
+let run_until_decisive ?deadline attempts =
   let exhausted_attempt msg =
     { Report.name = "budget";
       outcome = Report.Exhausted msg;
       timing = Report.sequential_timing 0.;
       detail = "deadline expired; remaining attempts skipped" }
-  in
-  let prior =
-    match resume with
-    | None -> []
-    | Some doc ->
-      Cv_util.Json.to_list (Cv_util.Json.member "attempts" doc)
-      |> List.map Report.attempt_of_json
-  in
-  (* [acc] is most-recent-first; the written "attempts" list is
-     oldest-first. *)
-  let progress acc () =
-    Cv_util.Json.Obj
-      [ ("attempts", Cv_util.Json.List (List.rev_map Report.attempt_to_json acc))
-      ]
-  in
-  let rec drop n l =
-    if n <= 0 then l else match l with [] -> [] | _ :: t -> drop (n - 1) t
   in
   let rec go acc = function
     | [] -> Report.conclude (List.rev acc)
@@ -221,13 +198,10 @@ let run_until_decisive ?deadline ?checkpoint ?resume attempts =
         | Report.Safe | Report.Unsafe _ | Report.Exhausted _ ->
           Cv_util.Metrics.incr m_decisive;
           Report.conclude (List.rev (attempt :: acc))
-        | Report.Inconclusive _ ->
-          let acc = attempt :: acc in
-          Cv_util.Checkpoint.save_opt checkpoint (progress acc);
-          go acc rest
+        | Report.Inconclusive _ -> go (attempt :: acc) rest
       end
   in
-  go (List.rev prior) (drop (List.length prior) attempts)
+  go [] attempts
 
 (* ------------------------------------------------------------------ *)
 (* The from-scratch decision                                           *)
@@ -302,16 +276,15 @@ type decision = {
   chain : Cv_interval.Box.t array option;
 }
 
-(** [decide ?cache ?deadline ?config ?checkpoint ?resume net prop] runs
-    the from-scratch decision ({!from_scratch}, the chain built through
-    [cache] when one is given) under {!run_until_decisive}. *)
-let decide ?cache ?deadline ?(config = default_config) ?checkpoint ?resume net
-    prop =
+(** [decide ?cache ?deadline ?config net prop] runs the from-scratch
+    decision ({!from_scratch}, the chain built through [cache] when one
+    is given) under {!run_until_decisive}. *)
+let decide ?cache ?deadline ?(config = default_config) net prop =
   if not (Cv_verify.Property.well_formed prop net) then
     invalid_arg "Strategy.decide: property/network dimension mismatch";
   let proof = ref None in
   let report =
-    run_until_decisive ?deadline ?checkpoint ?resume
+    run_until_decisive ?deadline
       (scratch ?cache ?deadline ~config
          ~on_chain:(fun s -> proof := Some s)
          net prop)
@@ -358,13 +331,10 @@ let solve_original ?deadline ?(config = default_config) net prop =
 (* SVuDC                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(** [solve_svudc ?deadline ?config p] — the full SVuDC pipeline.
-    [checkpoint]/[resume] persist and restore attempt-level progress
-    (see {!run_until_decisive}). *)
-let solve_svudc ?deadline ?(config = default_config) ?checkpoint ?resume
-    (p : Problem.svudc) =
+(** [solve_svudc ?deadline ?config p] — the full SVuDC pipeline. *)
+let solve_svudc ?deadline ?(config = default_config) (p : Problem.svudc) =
   Cv_util.Trace.with_span "strategy.svudc" @@ fun () ->
-  run_until_decisive ?deadline ?checkpoint ?resume
+  run_until_decisive ?deadline
     ([ (fun () -> Svudc.trivial p);
        (fun () -> Svudc.prop3 ~norm:config.lipschitz_norm p);
        (fun () -> Svudc.prop1 ?deadline ~engine:config.engine p);
@@ -382,8 +352,8 @@ let solve_svudc ?deadline ?(config = default_config) ?checkpoint ?resume
 (** [solve_svbtv ?deadline ?config ?netabs p] — the full SVbTV pipeline.
     The optional [netabs] is a stored Prop. 6 abstraction pair built for
     the old network. *)
-let solve_svbtv ?deadline ?(config = default_config) ?netabs ?checkpoint
-    ?resume (p : Problem.svbtv) =
+let solve_svbtv ?deadline ?(config = default_config) ?netabs
+    (p : Problem.svbtv) =
   Cv_util.Trace.with_span "strategy.svbtv" @@ fun () ->
   let prop6_attempts =
     (match netabs with
@@ -394,7 +364,7 @@ let solve_svbtv ?deadline ?(config = default_config) ?netabs ?checkpoint
     | Some slack -> [ (fun () -> Netabs_reuse.prop6_interval ~slack p) ]
     | None -> []
   in
-  run_until_decisive ?deadline ?checkpoint ?resume
+  run_until_decisive ?deadline
     (prop6_attempts
     @ [ (fun () -> Svbtv.leaf_reuse ?deadline ?domains:config.domains p);
         (fun () ->

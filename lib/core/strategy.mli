@@ -46,18 +46,13 @@ val chain :
   Cv_interval.Box.t ->
   Cv_interval.Box.t array
 
-(** [run_until_decisive ?deadline ?checkpoint ?resume attempts] runs
-    attempt thunks lazily in order, stopping at the first decisive one.
-    Attempts run supervised (a crash beyond retries becomes
-    [Inconclusive] and the chain continues); checkpointing is
-    attempt-granular, and [resume] replays the recorded non-decisive
-    attempts, skipping that many thunks. *)
+(** [run_until_decisive ?deadline attempts] runs attempt thunks lazily
+    in order, stopping at the first decisive one. Attempts run
+    supervised (a crash beyond retries becomes [Inconclusive] and the
+    chain continues). A chain keeps no resume state: a killed run
+    re-runs it from the first attempt. *)
 val run_until_decisive :
-  ?deadline:Cv_util.Deadline.t ->
-  ?checkpoint:Cv_util.Checkpoint.t ->
-  ?resume:Cv_util.Json.t ->
-  (unit -> Report.attempt) list ->
-  Report.t
+  ?deadline:Cv_util.Deadline.t -> (unit -> Report.attempt) list -> Report.t
 
 (** [from_scratch ?deadline ?config net prop] is the from-scratch
     decision as the tail of an attempt chain: [abstract-box] (the box
@@ -79,16 +74,14 @@ type decision = {
   chain : Cv_interval.Box.t array option;
 }
 
-(** [decide ?cache ?deadline ?config ?checkpoint ?resume net prop] runs
-    {!from_scratch} under {!run_until_decisive}, the chain built through
-    [cache] (see {!chain}) when one is given. Raises [Invalid_argument]
-    when [prop] does not fit [net]. *)
+(** [decide ?cache ?deadline ?config net prop] runs {!from_scratch}
+    under {!run_until_decisive}, the chain built through [cache] (see
+    {!chain}) when one is given. Raises [Invalid_argument] when [prop]
+    does not fit [net]. *)
 val decide :
   ?cache:Cv_artifacts.Cache.t ->
   ?deadline:Cv_util.Deadline.t ->
   ?config:config ->
-  ?checkpoint:Cv_util.Checkpoint.t ->
-  ?resume:Cv_util.Json.t ->
   Cv_nn.Network.t ->
   Cv_verify.Property.t ->
   decision
@@ -150,28 +143,18 @@ val solve_original_exact :
 
 (** [solve_svudc ?deadline ?config p] — the full SVuDC pipeline. On
     budget expiry the run ends with a structured [Exhausted] verdict
-    instead of raising. [checkpoint]/[resume] persist and restore
-    attempt-level progress (see {!run_until_decisive}). *)
+    instead of raising. *)
 val solve_svudc :
-  ?deadline:Cv_util.Deadline.t ->
-  ?config:config ->
-  ?checkpoint:Cv_util.Checkpoint.t ->
-  ?resume:Cv_util.Json.t ->
-  Problem.svudc ->
-  Report.t
+  ?deadline:Cv_util.Deadline.t -> ?config:config -> Problem.svudc -> Report.t
 
 (** [solve_svbtv ?deadline ?config ?netabs p] — the full SVbTV pipeline.
     The optional [netabs] is a stored Prop. 6 abstraction pair built for
     the old network. On budget expiry the run ends with a structured
-    [Exhausted] verdict instead of raising. [checkpoint]/[resume]
-    persist and restore attempt-level progress (see
-    {!run_until_decisive}). *)
+    [Exhausted] verdict instead of raising. *)
 val solve_svbtv :
   ?deadline:Cv_util.Deadline.t ->
   ?config:config ->
   ?netabs:Netabs_reuse.t ->
-  ?checkpoint:Cv_util.Checkpoint.t ->
-  ?resume:Cv_util.Json.t ->
   Problem.svbtv ->
   Report.t
 

@@ -78,7 +78,7 @@ type config = {
   strategy : Cv_core.Strategy.config;
   round_timeout : float option;  (** per-round deadline, seconds *)
   checkpoint_dir : string option;
-      (** loop state ([serve.state.json]) + per-round batch files *)
+      (** loop state ([serve.state.json]) + per-round done-files *)
   checkpoint_every : float;
   resume : persisted option;  (** state from {!load_state} *)
   cache : Cv_artifacts.Cache.t option;

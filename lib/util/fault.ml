@@ -17,14 +17,20 @@
     (distinct from [Failure] so tests can assert the injected origin). *)
 exception Injected of string
 
+(** Raised where an injected fault stands in for the death of the whole
+    process ([Kill_mid_checkpoint]). Unlike {!Injected} it is not a
+    transient failure: nothing retries it or degrades it to a verdict,
+    so it ends the process as a real kill would. *)
+exception Killed of string
+
 type point =
   | Solver_failure  (** simplex raises mid-solve, as on numerical death *)
   | Truncate_artifact  (** artifact writes stop halfway through *)
   | Deadline_zero  (** every new deadline is created already expired *)
   | Kill_mid_checkpoint
-      (** the process dies halfway through writing a checkpoint: the tmp
-          file is abandoned and the writer raises, leaving the previous
-          checkpoint intact *)
+      (** the process dies halfway through a durable write: the tmp file
+          is abandoned and the writer raises {!Killed}, leaving the
+          previous document intact *)
   | Worker_crash  (** a parallel branch-and-bound worker domain dies *)
   | Spurious_solver_error
       (** the warm-restart path fails transiently; a retry succeeds *)

@@ -5,12 +5,18 @@
 (** Raised by a fault hook standing in for an unexpected engine death. *)
 exception Injected of string
 
+(** Raised where an injected fault stands in for the death of the whole
+    process ([Kill_mid_checkpoint]). Not transient: nothing retries it
+    or degrades it to a verdict, so it ends the process. *)
+exception Killed of string
+
 type point =
   | Solver_failure  (** simplex raises mid-solve, as on numerical death *)
   | Truncate_artifact  (** artifact writes stop halfway through *)
   | Deadline_zero  (** every new deadline is created already expired *)
   | Kill_mid_checkpoint
-      (** checkpoint writes die halfway: tmp abandoned, target intact *)
+      (** durable writes die halfway: tmp abandoned, target intact, and
+          the writer raises {!Killed} *)
   | Worker_crash  (** a parallel branch-and-bound worker domain dies *)
   | Spurious_solver_error  (** transient warm-restart failure *)
   | Alloc_failure  (** solver arena allocation fails, as on OOM *)

@@ -25,8 +25,9 @@ let m_giveups = Metrics.counter "supervisor.giveups"
 
 (** Which exceptions are worth another attempt. Injected faults,
     [Failure] (the solver stack's transient-error idiom), and resource
-    exhaustion are transient; deadline expiry and [Invalid_argument] are
-    not — the former is a budget decision, the latter a bug. *)
+    exhaustion are transient; deadline expiry, an injected process death
+    ({!Fault.Killed}) and [Invalid_argument] are not — a budget decision,
+    a death and a bug. *)
 let retryable = function
   | Fault.Injected _ | Failure _ | Out_of_memory | Stack_overflow -> true
   | _ -> false

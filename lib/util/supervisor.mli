@@ -14,7 +14,8 @@ val default_policy : policy
 
 (** [retryable e] — is [e] a transient failure worth another attempt?
     True for {!Fault.Injected}, [Failure], [Out_of_memory] and
-    [Stack_overflow]; false otherwise. *)
+    [Stack_overflow]; false otherwise (a {!Fault.Killed} process death
+    among them). *)
 val retryable : exn -> bool
 
 (** [run ?policy ~name f] runs [f], retrying transient failures.

@@ -27,8 +27,15 @@ prints both medians with q1-q3, the relative change, the change's wins
                 every change run beats every parent run)
   within bound  otherwise
 
---self-test checks the quantile and verdict rules on fixed numbers and
-runs nothing else. Uses the Python standard library only.
+Once both sides are built it prints the address of each side's
+calibration kernel (camlPerfbench__Util.calib_kernel*, read with nm from
+_build/default/perfbench/main.exe) and warns when the two differ modulo
+4096: every scaled time is divided by that kernel's speed, and moving it
+within its page alone has moved every scaled metric by 2-13%. Compare
+unscaled times then.
+
+--self-test checks the quantile, verdict and placement rules on fixed
+numbers and runs nothing else. Uses the Python standard library only.
 """
 import argparse
 import datetime
@@ -74,6 +81,40 @@ def verdict(parent, change, better, bound):
     return "within bound", wins, rel
 
 
+CALIB_KERNEL = "camlPerfbench__Util.calib_kernel"
+
+
+def calib_address(root):
+    """Address of the calibration kernel in root's perfbench binary, or
+    None when the binary or the symbol is missing."""
+    exe = os.path.join(root, "_build", "default", "perfbench", "main.exe")
+    try:
+        out = subprocess.run(["nm", exe], capture_output=True, text=True,
+                             check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    for line in out.splitlines():
+        fields = line.split()
+        if len(fields) == 3 and fields[2].startswith(CALIB_KERNEL):
+            return int(fields[0], 16)
+    return None
+
+
+def placement_differs(parent, change):
+    """True when the two kernels sit at different offsets within a
+    4096-byte page, so scaled times may differ by placement alone."""
+    return parent % 4096 != change % 4096
+
+
+def report_placement(roots):
+    parent, change = calib_address(roots["parent"]), calib_address(roots["change"])
+    print("calib_kernel: parent %s  change %s" % tuple(
+        "?" if a is None else hex(a) for a in (parent, change)))
+    if None not in (parent, change) and placement_differs(parent, change):
+        print("perf_ab: warning: calib_kernel moved within its page; scaled "
+              "times can differ by placement alone, compare unscaled times")
+
+
 def self_test():
     def expect(name, got, want):
         if got != want:
@@ -115,6 +156,10 @@ def self_test():
     expect("separated", verdict(spread, [0.5] * 10, "lower", 0.2)[:2],
            ("within bound", 10))
     expect("seeds", parse_seeds("61-63,70"), [61, 62, 63, 70])
+    # The kernel addresses of a past A/B: 0xf4800 and 0xf37f0 read every
+    # scaled metric 2-13% apart; the change padded to 0xf3800 tied.
+    expect("moved kernel", placement_differs(0xf4800, 0xf37f0), True)
+    expect("padded kernel", placement_differs(0xf4800, 0xf3800), False)
     print("perf_ab self-test: ok")
 
 
@@ -218,6 +263,8 @@ def main():
                             results[(side, seed)] = res
                     if failed:
                         break
+                    if w == workloads[0] and i == 0:
+                        report_placement(roots)
                 if failed:
                     break
                 report(spec, w, seeds, results)

@@ -337,7 +337,7 @@ let test_crash_during_cache_write () =
   Cv_util.Fault.enable ~mode:Cv_util.Fault.Once Cv_util.Fault.Kill_mid_checkpoint;
   (match store_k c key_a (Json.Str "v2") with
   | () -> Alcotest.fail "injected kill must escape store"
-  | exception Cv_util.Fault.Injected _ -> ());
+  | exception Cv_util.Fault.Killed _ -> ());
   Cv_util.Fault.reset ();
   (* The failed write cached nothing: this process still serves v1 ... *)
   Alcotest.(check bool) "memory kept the old value" true

@@ -119,41 +119,6 @@ let test_resume_equivalence_verdicts () =
         (List.rev !snaps))
     [ ("provable", 13.); ("falsifiable", 5.) ]
 
-(* Attempt-granular strategy checkpoints: run_until_decisive resumed
-   from its own snapshot must skip the replayed attempts (not rerun
-   them) and reach the same verdict. *)
-let test_resume_strategy_attempts () =
-  let runs = Array.make 3 0 in
-  let attempt i outcome () =
-    runs.(i) <- runs.(i) + 1;
-    { Cv_core.Report.name = Printf.sprintf "attempt%d" i;
-      outcome;
-      timing = Cv_core.Report.sequential_timing 0.;
-      detail = "" }
-  in
-  let attempts () =
-    [ attempt 0 (Cv_core.Report.Inconclusive "no");
-      attempt 1 (Cv_core.Report.Inconclusive "still no");
-      attempt 2 Cv_core.Report.Safe ]
-  in
-  let snaps = ref [] in
-  let sink = Cv_util.Checkpoint.create ~every:0. (fun j -> snaps := j :: !snaps) in
-  let baseline = Cv_core.Strategy.run_until_decisive ~checkpoint:sink (attempts ()) in
-  Alcotest.(check bool) "baseline is safe" true
-    (baseline.Cv_core.Report.verdict = Cv_core.Report.Safe);
-  (* Two inconclusive attempts, so two attempt-level snapshots. *)
-  Alcotest.(check int) "one snapshot per inconclusive attempt" 2
-    (List.length !snaps);
-  Array.fill runs 0 3 0;
-  let snap = List.hd !snaps (* both attempts recorded *) in
-  let resumed = Cv_core.Strategy.run_until_decisive ~resume:snap (attempts ()) in
-  Alcotest.(check bool) "resumed verdict is safe" true
-    (resumed.Cv_core.Report.verdict = Cv_core.Report.Safe);
-  Alcotest.(check (array int)) "replayed attempts are not rerun"
-    [| 0; 0; 1 |] runs;
-  Alcotest.(check int) "resumed report still lists every attempt" 3
-    (List.length resumed.Cv_core.Report.attempts)
-
 (* ------------------------------------------------------------------ *)
 (* Runstate envelope                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -180,7 +145,7 @@ let test_runstate_roundtrip () =
 let test_runstate_mismatches () =
   let path = tmp_file () in
   save_ck path J.Null;
-  (match load_ck ~kind:Cv_core.Runstate.Svudc path with
+  (match load_ck ~kind:Cv_core.Runstate.Serve path with
   | Error (Cv_core.Runstate.Checkpoint_mismatch msg) ->
     Alcotest.(check bool) "kind mismatch names both kinds" true
       (let has s sub =
@@ -188,7 +153,7 @@ let test_runstate_mismatches () =
          let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
          go 0
        in
-       has msg "verify" && has msg "svudc")
+       has msg "verify" && has msg "serve")
   | Ok _ -> Alcotest.fail "wrong-kind checkpoint must be refused"
   | Error (Cv_core.Runstate.Corrupt_checkpoint msg) ->
     Alcotest.fail ("wrong-kind misreported as corrupt: " ^ msg));
@@ -288,7 +253,7 @@ let test_kill_mid_checkpoint_keeps_previous () =
     Cv_util.Fault.Kill_mid_checkpoint (fun () ->
       match save_ck path (J.Obj [ ("round", J.Num 2.) ]) with
       | () -> Alcotest.fail "armed kill-mid-checkpoint must raise"
-      | exception Cv_util.Fault.Injected _ -> ());
+      | exception Cv_util.Fault.Killed _ -> ());
   (match load_ck path with
   | Ok p ->
     Alcotest.(check string) "previous checkpoint intact"
@@ -310,9 +275,7 @@ let () =
         [ Alcotest.test_case "range equivalence" `Quick
             test_resume_equivalence_range;
           Alcotest.test_case "verdict equivalence" `Quick
-            test_resume_equivalence_verdicts;
-          Alcotest.test_case "strategy attempts" `Quick
-            test_resume_strategy_attempts ] );
+            test_resume_equivalence_verdicts ] );
       ( "runstate",
         [ Alcotest.test_case "roundtrip" `Quick test_runstate_roundtrip;
           Alcotest.test_case "mismatches" `Quick test_runstate_mismatches;

@@ -649,6 +649,210 @@ let test_scratch_expired_deadline () =
         (verdict_name (svusc_tail ~deadline net prop)))
     (scratch_cases ())
 
+(* ------------------------------------------------------------------ *)
+(* The reuse routes, through every caller                              *)
+(* ------------------------------------------------------------------ *)
+
+(* [f ()]'s outcome with the names of the strategy attempts it ran, in
+   order, read from its trace. An exception is part of the outcome: a
+   run killed after its attempts still reports them. *)
+let traced f =
+  Cv_util.Trace.enable ();
+  let r = match f () with v -> Ok v | exception e -> Error e in
+  Cv_util.Trace.disable ();
+  let module J = Cv_util.Json in
+  let rec names acc span =
+    let acc =
+      if J.to_str (J.member "name" span) = "strategy.attempt" then
+        J.to_str (J.member "name" (J.member "attrs" span)) :: acc
+      else acc
+    in
+    match J.member_opt "children" span with
+    | Some c -> List.fold_left names acc (J.to_list c)
+    | None -> acc
+  in
+  ( r,
+    List.rev
+      (List.fold_left names []
+         (J.to_list (J.member "trace" (Cv_util.Trace.to_json ())))) )
+
+let ok what = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+
+let expect_killed what = function
+  | Error (Cv_util.Fault.Killed _) -> ()
+  | Ok _ -> Alcotest.failf "%s: the kill must end the run" what
+  | Error e -> Alcotest.failf "%s raised %s" what (Printexc.to_string e)
+
+(* Checkpoint directories handed out by [fresh_dir], removed when the
+   test ends. *)
+let cross_mode_dirs = ref []
+
+let fresh_dir () =
+  let d = Filename.temp_file "cv_cross_mode" "" in
+  Sys.remove d;
+  cross_mode_dirs := d :: !cross_mode_dirs;
+  d
+
+(* A one-job batch of [spec] checkpointing into [dir]. *)
+let batch_job ?cache ~dir spec =
+  let config =
+    { Cv_core.Batch.default_config with
+      Cv_core.Batch.cache;
+      checkpoint_dir = Some dir }
+  in
+  match
+    (Cv_core.Batch.run ~config
+       [ { Cv_core.Batch.id = "q"; spec; timeout = None } ])
+      .Cv_core.Batch.results
+  with
+  | [ r ] -> r
+  | _ -> Alcotest.fail "one job, one result"
+
+(* The same job, dying of an injected kill at its first durable write:
+   without a search to snapshot, that is its done-file. *)
+let killed_at_done_file ?cache ~dir spec =
+  traced (fun () ->
+      Cv_util.Fault.with_fault ~mode:Cv_util.Fault.Once
+        Cv_util.Fault.Kill_mid_checkpoint (fun () ->
+          batch_job ?cache ~dir spec))
+
+(* An SVuDC and an SVbTV question on the test_core scenario, the box
+   enlarged by 0.002. Each comes with its one-shot solve, its batch
+   spec, its session transition and the attempts that a cache adds in
+   front of a cache-off run's. The session sees the enlarged box's two
+   corners as OOD events, so with no margin it verifies over the same
+   box. The SVbTV question (a fine-tune of σ = 0.001) widens its chain
+   by 2: a D_out that loose lets the cache's Prop 6 abstraction pair
+   prove it, so a cached run tries prop6 first, inconclusive on the
+   enlarged box. *)
+let cross_mode_cases () =
+  let svudc =
+    let net, din, _, artifact = scenario () in
+    let new_din = small_enlargement din in
+    ( "svudc",
+      net,
+      artifact,
+      new_din,
+      (fun () ->
+        Cv_core.Strategy.solve_svudc
+          (Cv_core.Problem.svudc ~net ~artifact ~new_din)),
+      Cv_core.Batch.Svudc { net; artifact; new_din },
+      (fun s -> Cv_core.Session.absorb_enlargement ~margin:0. s),
+      [] )
+  in
+  let svbtv =
+    let net, din, _, artifact = scenario ~widen:2. () in
+    let new_din = small_enlargement din in
+    let net' = fine_tuned net 0.001 37 in
+    ( "svbtv",
+      net,
+      artifact,
+      new_din,
+      (fun () ->
+        Cv_core.Strategy.solve_svbtv
+          (Cv_core.Problem.svbtv ~old_net:net ~new_net:net' ~artifact
+             ~new_din)),
+      Cv_core.Batch.Svbtv { old_net = net; new_net = net'; artifact; new_din },
+      (fun s -> Cv_core.Session.adopt ~margin:0. s net'),
+      [ "prop6" ] )
+  in
+  [ svudc; svbtv ]
+
+let test_cross_mode_same_verdict () =
+  Fun.protect ~finally:(fun () ->
+      List.iter
+        (fun d -> ignore (Sys.command ("rm -rf " ^ Filename.quote d)))
+        !cross_mode_dirs)
+  @@ fun () ->
+  List.iter
+    (fun (name, net, artifact, new_din, solve, spec, transition, cache_adds) ->
+      let label what = name ^ ", " ^ what in
+      let row = Alcotest.(triple string (option string) int) in
+      let job_row (r : Cv_core.Batch.job_result) =
+        ( Cv_core.Batch.verdict_name r.Cv_core.Batch.verdict,
+          r.Cv_core.Batch.decisive,
+          r.Cv_core.Batch.attempts )
+      in
+      let check_job what ~resumed r =
+        let r = ok (label what) r in
+        Alcotest.(check bool) (label (what ^ " resumed")) resumed
+          r.Cv_core.Batch.resumed;
+        r
+      in
+      (* 1. One shot: the reference verdict, route and attempts. *)
+      let report, names = traced solve in
+      let report = ok (label "one-shot") report in
+      Alcotest.(check (list string)) (label "trace lists the report's attempts")
+        (List.map (fun a -> a.Cv_core.Report.name) report.Cv_core.Report.attempts)
+        names;
+      Alcotest.(check string) (label "one-shot verdict") "safe"
+        (verdict_name report);
+      let expected =
+        (verdict_name report, report.Cv_core.Report.decisive, List.length names)
+      in
+      let same_run what (r, names') =
+        Alcotest.check row (label what) expected (job_row r);
+        Alcotest.(check (list string)) (label (what ^ " attempts")) names names'
+      in
+      (* 2. A one-job batch, no cache, checkpointing. *)
+      let r, names' = traced (fun () -> batch_job ~dir:(fresh_dir ()) spec) in
+      same_run "batch" (check_job "batch" ~resumed:false r, names');
+      (* 3. Killed at its done-file write, then re-run in the same
+         directory: nothing to replay, the chain runs again. *)
+      let dir = fresh_dir () in
+      let killed, killed_names = killed_at_done_file ~dir spec in
+      expect_killed (label "killed batch") killed;
+      Alcotest.(check (list string)) (label "killed run's attempts") names
+        killed_names;
+      Alcotest.(check bool) (label "no done-file after the kill") false
+        (Sys.file_exists (Filename.concat dir "q.done.json"));
+      let r, names' = traced (fun () -> batch_job ~dir spec) in
+      same_run "re-run after the kill"
+        (check_job "re-run" ~resumed:false r, names');
+      (* 4. The cache on, killed; then the cache off in the same
+         directory: the re-run runs the cache-off attempts, not the
+         killed run's. *)
+      let dir = fresh_dir () in
+      let cached = Cv_artifacts.Cache.create () in
+      let killed, cached_names = killed_at_done_file ~cache:cached ~dir spec in
+      expect_killed (label "killed cached batch") killed;
+      Alcotest.(check (list string)) (label "cached run's attempts")
+        (cache_adds @ names) cached_names;
+      let r, names' = traced (fun () -> batch_job ~dir spec) in
+      same_run "cache-off re-run after a cached kill"
+        (check_job "cache-off re-run" ~resumed:false r, names');
+      (* A fresh cached run: the killed cached run's attempts, the same
+         verdict and route. *)
+      let r, names' =
+        traced (fun () ->
+            batch_job ~cache:(Cv_artifacts.Cache.create ()) ~dir:(fresh_dir ())
+              spec)
+      in
+      let verdict, decisive, _ = expected in
+      Alcotest.check row (label "cached batch")
+        (verdict, decisive, List.length cached_names)
+        (job_row (check_job "cached batch" ~resumed:false r));
+      Alcotest.(check (list string)) (label "cached attempts") cached_names
+        names';
+      (* 5. A further run replays the done-file. *)
+      let r, names' = traced (fun () -> batch_job ~dir spec) in
+      let r = check_job "replay" ~resumed:true r in
+      Alcotest.check row (label "replay") expected (job_row r);
+      Alcotest.(check (list string)) (label "replay runs no attempt") []
+        names';
+      (* 6. The session transition over the same artifact and box. *)
+      let s = Cv_core.Session.resume net artifact in
+      List.iter
+        (fun x -> ignore (Cv_core.Session.observe s x))
+        [ Cv_interval.Box.lower new_din; Cv_interval.Box.upper new_din ];
+      let r, names' = traced (fun () -> transition s) in
+      same_run "session" (ok (label "session") r, names');
+      Alcotest.(check bool) (label "session committed the box") true
+        (Cv_interval.Box.equal (Cv_core.Session.box s) new_din))
+    (cross_mode_cases ())
+
 let slabs_cover_prop =
   QCheck.Test.make ~name:"enlargement slabs exactly cover the delta region"
     ~count:100
@@ -758,4 +962,7 @@ let () =
         [ Alcotest.test_case "same verdict across callers" `Quick
             test_scratch_same_verdict;
           Alcotest.test_case "expired deadline exhausts" `Quick
-            test_scratch_expired_deadline ] ) ]
+            test_scratch_expired_deadline ] );
+      ( "reuse",
+        [ Alcotest.test_case "routes agree across callers" `Quick
+            test_cross_mode_same_verdict ] ) ]

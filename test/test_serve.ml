@@ -460,9 +460,25 @@ let test_cli_stdin_round () =
   Alcotest.(check string) "stopped at eof" "eof"
     (Json.to_str (Json.member "stop" status))
 
-(* Kill the daemon mid-loop and resume from its checkpoint: the resumed
-   run must reach the same final status as an uninterrupted reference
-   run, replaying the finished round from its done-file. *)
+(* The abandoned temp files of killed durable writes under [dir]. *)
+let rec tmp_files dir =
+  Array.fold_left
+    (fun acc name ->
+      let path = Filename.concat dir name in
+      if Sys.is_directory path then tmp_files path @ acc
+      else if Filename.check_suffix name ".tmp" then path :: acc
+      else acc)
+    [] (Sys.readdir dir)
+
+(* Kill a checkpointed drive session at every durable write in turn and
+   resume it. For K = 1, 2, ... the run armed with
+   kill-mid-checkpoint:every=K (in the child's environment only) must
+   die of the injected kill at its K-th write (exit 123, exactly one
+   abandoned *.tmp), and a fault-free --resume-checkpoint run must reach
+   the final status of an uninterrupted run. [--cache-dir] puts the
+   cache's writes and the session's artifact refresh in the sweep. It
+   ends at the first K past the last write: that run exits 0, leaves no
+   *.tmp, and both rounds' done-files have landed. *)
 let test_cli_kill_and_resume () =
   let drive_args =
     [ "serve"; "--drive"; "--rounds"; "2"; "--drive-steps"; "400";
@@ -473,67 +489,79 @@ let test_cli_kill_and_resume () =
   let reference = final_status text in
   Alcotest.(check int) "reference rounds" 2
     (Json.to_int (Json.member "rounds" reference));
-  (* Same run, checkpointed at every tick, dying at a fixed durable
-     write. At 9 that is the second serve-state write after round 1's
-     done-file has landed (the 8th to the 11th all fall between that
-     done-file and round 2). At 5 the death falls in round 1's
-     attempt-log write, which the job supervisor retries, so the round
-     still commits and the process dies at the 10th write. The fault is
-     armed in the child's environment only. *)
-  let dir = Filename.concat tmp_dir "serve_ck" in
+  let dir = Filename.concat tmp_dir "serve_kill" in
+  let ck = Filename.concat dir "ck" in
   let ck_args =
-    drive_args @ [ "--checkpoint-dir"; dir; "--checkpoint-every"; "0" ]
+    drive_args
+    @ [ "--checkpoint-dir"; ck; "--cache-dir"; Filename.concat dir "cache";
+        "--checkpoint-every"; "0" ]
   in
   let inherited =
     List.filter
       (fun kv -> not (String.starts_with ~prefix:"CONTIVER_FAULTS=" kv))
       (Array.to_list (Unix.environment ()))
   in
-  List.iter
-    (fun every ->
-      let at = Printf.sprintf "every=%d: " every in
-      ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
-      let env =
-        Array.of_list
-          (Printf.sprintf "CONTIVER_FAULTS=kill-mid-checkpoint:every=%d" every
-          :: inherited)
-      in
-      let dev_null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-      let pid =
-        Unix.create_process_env exe
-          (Array.of_list (exe :: ck_args))
-          env Unix.stdin dev_null dev_null
-      in
-      let _, status = Unix.waitpid [] pid in
-      Unix.close dev_null;
-      Alcotest.(check bool) (at ^ "faulted run dies") true
-        (match status with Unix.WEXITED 0 -> false | _ -> true);
-      Alcotest.(check bool) (at ^ "first round done-file landed") true
-        (Sys.file_exists (Filename.concat dir "round-0001-svudc.done.json"));
-      let code, text = run_out (ck_args @ [ "--resume-checkpoint" ]) in
-      Alcotest.(check int) (at ^ "resumed run exits 0") 0 code;
-      let resumed = final_status text in
-      List.iter
-        (fun field ->
-          Alcotest.(check int)
-            (at ^ "resumed " ^ field ^ " matches reference")
-            (Json.to_int (Json.member field reference))
-            (Json.to_int (Json.member field resumed)))
-        [ "rounds"; "commits" ];
-      List.iter
-        (fun field ->
-          Alcotest.(check int)
-            (at ^ "resumed events." ^ field ^ " matches reference")
-            (events_field reference field)
-            (events_field resumed field))
-        [ "seen"; "ood"; "pending"; "rejected" ];
-      Alcotest.(check (float 1e-9)) (at ^ "same committed box width")
-        (Json.to_float (Json.member "box_width" reference))
-        (Json.to_float (Json.member "box_width" resumed));
-      Alcotest.(check string) (at ^ "same stop reason")
-        (Json.to_str (Json.member "stop" reference))
-        (Json.to_str (Json.member "stop" resumed)))
-    [ 5; 9 ]
+  let faulted every =
+    ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
+    Unix.mkdir dir 0o755;
+    let env =
+      Array.of_list
+        (Printf.sprintf "CONTIVER_FAULTS=kill-mid-checkpoint:every=%d" every
+        :: inherited)
+    in
+    let dev_null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    let pid =
+      Unix.create_process_env exe
+        (Array.of_list (exe :: ck_args))
+        env Unix.stdin dev_null dev_null
+    in
+    let _, status = Unix.waitpid [] pid in
+    Unix.close dev_null;
+    (status, tmp_files dir)
+  in
+  let check_resume at =
+    let code, text = run_out (ck_args @ [ "--resume-checkpoint" ]) in
+    Alcotest.(check int) (at ^ "resumed run exits 0") 0 code;
+    let resumed = final_status text in
+    List.iter
+      (fun field ->
+        Alcotest.(check int)
+          (at ^ "resumed " ^ field ^ " matches reference")
+          (Json.to_int (Json.member field reference))
+          (Json.to_int (Json.member field resumed)))
+      [ "rounds"; "commits" ];
+    List.iter
+      (fun field ->
+        Alcotest.(check int)
+          (at ^ "resumed events." ^ field ^ " matches reference")
+          (events_field reference field)
+          (events_field resumed field))
+      [ "seen"; "ood"; "pending"; "rejected" ];
+    Alcotest.(check (float 1e-9)) (at ^ "same committed box width")
+      (Json.to_float (Json.member "box_width" reference))
+      (Json.to_float (Json.member "box_width" resumed));
+    Alcotest.(check string) (at ^ "same stop reason")
+      (Json.to_str (Json.member "stop" reference))
+      (Json.to_str (Json.member "stop" resumed))
+  in
+  let rec sweep every =
+    if every > 100 then Alcotest.fail "no fault-free run after 100 writes";
+    let at = Printf.sprintf "every=%d: " every in
+    match faulted every with
+    | Unix.WEXITED 0, [] ->
+      Alcotest.(check bool) (at ^ "second round done-file landed") true
+        (Sys.file_exists (Filename.concat ck "round-0002-svudc.done.json"));
+      every - 1
+    | status, tmps ->
+      Alcotest.(check bool) (at ^ "faulted run dies of the kill") true
+        (status = Unix.WEXITED 123);
+      Alcotest.(check int) (at ^ "one abandoned tmp file") 1
+        (List.length tmps);
+      check_resume at;
+      sweep (every + 1)
+  in
+  let writes = sweep 1 in
+  Alcotest.(check bool) "swept the writes of both rounds" true (writes > 2)
 
 let () =
   Alcotest.run "cv_serve"
