@@ -1,12 +1,14 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench examples clean doc quickbench ci fmt chaos servesmoke certfuzz
+.PHONY: all build test bench examples clean doc quickbench ci fmt chaos servesmoke certfuzz abtest gates
 
 all: build
 
-# What CI runs: full build, test suite, formatting gate, quick paper
-# report, serve smoke, certificate soundness fuzzing.
-ci: build test fmt quickbench servesmoke certfuzz
+# What CI's build job runs, in its order: full build, test suite,
+# formatting gate, the A/B tool's self-test, quick paper report,
+# examples, serve smoke, the four perfbench verdict gates and
+# certificate soundness fuzzing.
+ci: build test fmt abtest quickbench examples servesmoke gates certfuzz
 
 fmt:
 	dune build @fmt
@@ -30,6 +32,21 @@ bench:
 # split-certificate case: a smoke run that every section still works.
 quickbench:
 	dune exec bench/main.exe -- --quick
+
+# The benchmark A/B tool's quantile and verdict rules on fixed numbers
+# (no build, no benchmark run).
+abtest:
+	python3 scripts/perf_ab.py --self-test
+
+# The perfbench verdict gates: each workload once at seed 1 with no
+# timed window; exit 1 on any wrong verdict, changed route or cache
+# count (about 20 s together on 2 vCPUs).
+GATES = batch-wide table1 serve-drive certify
+gates:
+	for w in $(GATES); do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 0 --trace 0 \
+	    || exit 1; \
+	done
 
 # Seeded fault-injection campaign: verdicts may degrade under faults,
 # never flip. CI runs this for three seeds (chaos-matrix job).

@@ -42,6 +42,11 @@ let run f =
   | Sys_error msg ->
     prerr_endline ("contiver: error: " ^ msg);
     Cmd.Exit.some_error
+  | Unix.Unix_error (err, fn, arg) ->
+    prerr_endline
+      (Printf.sprintf "contiver: error: %s %s: %s" fn arg
+         (Unix.error_message err));
+    Cmd.Exit.some_error
   | Cv_util.Json.Error msg ->
     prerr_endline ("contiver: error: malformed JSON: " ^ msg);
     Cmd.Exit.some_error
@@ -118,26 +123,16 @@ let proposition_of_route route =
     "Proposition " ^ String.sub route 4 (n - 4)
   else route
 
-(* Persist (checksummed envelope) and mirror into the artifact cache
-   under the content-addressed key fingerprint × D_in hash ×
-   "cert:<mode>". *)
-let write_cert ?cache ~din path cert =
+(* Persist in a checksummed envelope. *)
+let write_cert path cert =
   Cv_artifacts.Artifacts.save_doc ~format:Cv_cert.Cert.envelope_format path
     (Cv_cert.Cert.to_json cert);
-  Option.iter
-    (fun c ->
-      Cv_artifacts.Cache.store c
-        ~fingerprint:cert.Cv_cert.Cert.fingerprint
-        ~box_hash:(Cv_artifacts.Cache.box_hash din)
-        ~kind:("cert:" ^ cert.Cv_cert.Cert.mode)
-        (Cv_cert.Cert.to_json cert))
-    cache;
   Printf.printf "certificate (%s proof) written to %s\n"
     (Cv_cert.Cert.proof_kind cert.Cv_cert.Cert.proof)
     path
 
-let emit_cert_to ?cache ~din path = function
-  | Some cert -> write_cert ?cache ~din path cert
+let emit_cert_to path = function
+  | Some cert -> write_cert path cert
   | None ->
     Printf.eprintf
       "contiver: warning: no certificate emitted (the verdict is unknown, \
@@ -151,7 +146,7 @@ let emit_cert_to ?cache ~din path = function
    decided the verdict, the proof is wrapped in the reuse frame that
    records it; an unwrappable frame degrades to the inner proof. The
    recorded [solver] defaults to the route's name. *)
-let emit_safe_cert ?cache ?route
+let emit_safe_cert ?route
     ?(solver = Option.value ~default:"strategy" route) ~mode ~path net ~din
     ~dout =
   let fingerprint = Cv_artifacts.Artifacts.fingerprint net in
@@ -171,7 +166,7 @@ let emit_safe_cert ?cache ?route
       (Cv_cert.Emit.reuse_cert ~route ~proposition:(proposition_of_route route)
          ~slack cert)
   in
-  emit_cert_to ?cache ~din path
+  emit_cert_to path
     (match route with
     | Some route -> Option.map (wrap route) inner
     | None -> inner)
@@ -475,11 +470,11 @@ let verify verbose model property artifact_out emit_cert exact widen timeout
       | Cv_verify.Containment.Proved ->
         emit_safe_cert ~mode:"verify" ~solver ~path net ~din ~dout
       | Cv_verify.Containment.Violated v ->
-        emit_cert_to ~din path
+        emit_cert_to path
           (Cv_cert.Emit.unsafe_cert ~mode:"verify" ~solver
              ~fingerprint:(Cv_artifacts.Artifacts.fingerprint net)
              net ~din ~dout ~x:v.Cv_verify.Falsify.input)
-      | Cv_verify.Containment.Unknown _ -> emit_cert_to ~din path None)
+      | Cv_verify.Containment.Unknown _ -> emit_cert_to path None)
     emit_cert;
   (* A budget expiry is a structured, expected outcome of a bounded run,
      not a failure of the tool: exit 0. Everything else unproved is 1. *)
@@ -552,11 +547,11 @@ let emit_incremental_cert ~mode ~path net ~din ~dout
       ~dout
   | Cv_core.Report.Unsafe v ->
     let fingerprint = Cv_artifacts.Artifacts.fingerprint net in
-    emit_cert_to ~din path
+    emit_cert_to path
       (Cv_cert.Emit.unsafe_cert ~mode ~solver:"falsify" ~fingerprint net ~din
          ~dout ~x:v.Cv_verify.Falsify.input)
   | Cv_core.Report.Inconclusive _ | Cv_core.Report.Exhausted _ ->
-    emit_cert_to ~din path None
+    emit_cert_to path None
 
 let svudc verbose model artifact new_din emit_cert engine timeout stats
     trace_json =
@@ -611,11 +606,7 @@ let svbtv verbose old_model new_model artifact new_din emit_cert engine slack
   in
   let p = Cv_core.Problem.svbtv ~old_net ~new_net ~artifact ~new_din in
   Printf.printf "parameter drift (Linf): %.5g\n" (Cv_core.Problem.drift p);
-  let config =
-    { Cv_core.Strategy.default_config with
-      Cv_core.Strategy.engine;
-      interval_slack = slack }
-  in
+  let config = { Cv_core.Strategy.engine; interval_slack = slack } in
   let report =
     Cv_core.Strategy.solve_svbtv ?deadline:(deadline_of timeout) ~config p
   in
@@ -1202,7 +1193,7 @@ let batch verbose manifest jobs timeout engine no_cache cache_dir
                    Filename.concat dir (r.Cv_core.Batch.job_id ^ ".cert.json")
                  in
                  let emit net ~din ~dout ~route =
-                   emit_safe_cert ?cache ?route ~mode ~path net ~din ~dout
+                   emit_safe_cert ?route ~mode ~path net ~din ~dout
                  in
                  match job.Cv_core.Batch.spec with
                  | Cv_core.Batch.Verify { net; prop; _ } ->

@@ -14,12 +14,13 @@
     no Lipschitz constant is needed). One cheap forward sweep, no solver
     calls. *)
 
-let prop_diff ?(norm = Cv_lipschitz.Lipschitz.Linf) (p : Problem.svbtv) =
+let prop_diff (p : Problem.svbtv) =
+  let norm = Cv_lipschitz.Lipschitz.Linf in
   let artifact = p.Problem.artifact in
   let old_prop = artifact.Cv_artifacts.Artifacts.property in
   let run () =
     match Cv_artifacts.Artifacts.final_abstraction artifact with
-    | None -> (Report.Inconclusive "artifact carries no state abstractions", "")
+    | None -> (Report.Inconclusive Local.abstraction_required, "")
     | Some s_n ->
       let old_din = old_prop.Cv_verify.Property.din in
       let kappa =

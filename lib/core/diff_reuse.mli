@@ -4,9 +4,9 @@
 
     [ε = max |f'(x) − f(x)|] over the (enlarged) domain is bounded by
     differential interval analysis ({!Cv_diffverify.Diffverify}); the
-    property transfers when [S_n ⊕ ℓκ ⊕ ε ⊆ D_out] (the ℓκ term drops
-    when [Δ_in = ∅]). One cheap forward sweep, no solver calls. *)
+    property transfers when [S_n ⊕ ℓκ ⊕ ε ⊆ D_out] (ℓ the stored ∞-norm
+    constant; the ℓκ term drops when [Δ_in = ∅]). One cheap forward
+    sweep, no solver calls. *)
 
-(** [prop_diff ?norm p] runs the differential reuse route. *)
-val prop_diff :
-  ?norm:Cv_lipschitz.Lipschitz.norm -> Problem.svbtv -> Report.attempt
+(** [prop_diff p] runs the differential reuse route. *)
+val prop_diff : Problem.svbtv -> Report.attempt

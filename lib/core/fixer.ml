@@ -15,34 +15,33 @@
 
 type diagnosis = {
   failing : int list;  (** 1-based layer indices whose handoff failed *)
-  sub_times : float array;  (** per-layer diagnostic times *)
+  checks : Local.run;  (** the per-layer checks and their timing *)
 }
 
-(** [diagnose ?deadline ?engine ?domains p] runs the n independent
-    Prop.-4 subproblems ({!Svbtv.layer_checks}) and reports which layers
+(** [diagnose ?deadline ?engine p] runs the n independent Prop.-4
+    subproblems ({!Svbtv.layer_checks}) and reports which layers
     fail. *)
-let diagnose ?deadline ?engine ?domains (p : Problem.svbtv) =
-  Svbtv.layer_checks ?deadline ?engine ?domains p
-  |> Option.map (fun (results : Svbtv.sub_result array) ->
+let diagnose ?deadline ?engine (p : Problem.svbtv) =
+  Svbtv.layer_checks ?deadline ?engine p
+  |> Option.map (fun (checks : Local.run) ->
          { failing =
-             List.init (Array.length results) succ
+             List.init (Array.length checks.Local.results) succ
              |> List.filter (fun i ->
-                    not (Cv_verify.Containment.is_proved results.(i - 1).verdict));
-           sub_times = Array.map (fun (r : Svbtv.sub_result) -> r.seconds) results })
+                    not
+                      (Cv_verify.Containment.is_proved
+                         checks.Local.results.(i - 1).verdict));
+           checks })
 
 (** [fix ?engine p ~failing_layer] attempts the repair for a single
     failing (1-based) layer. Returns a {!Report.attempt}; [Safe] when
     containment is re-established (possibly only at the output check),
-    [Inconclusive] when the propagation reaches the output without ever
-    being recaptured. *)
+    [Exhausted] when an exact handoff runs out of budget, [Inconclusive]
+    when the propagation reaches the output without ever being
+    recaptured. *)
 let fix ?deadline ?(engine = Cv_verify.Containment.Ladder) (p : Problem.svbtv)
     ~failing_layer =
   match Svbtv.get_abstractions p with
-  | None ->
-    { Report.name = "fixer";
-      outcome = Report.Inconclusive "artifact carries no state abstractions";
-      timing = Report.sequential_timing 0.;
-      detail = "" }
+  | None -> Local.no_abstractions "fixer"
   | Some s ->
     let net = p.Problem.new_net in
     let n = Cv_nn.Network.num_layers net in
@@ -74,19 +73,21 @@ let fix ?deadline ?(engine = Cv_verify.Containment.Ladder) (p : Problem.svbtv)
             Printf.sprintf "S'_%d ⊆ S_%d after %d forward steps" k k steps )
         else begin
           (* Exact handoff attempt into the stored S_{k+1}. *)
-          let slice = Cv_nn.Network.slice net ~from_:k ~to_:(k + 1) in
-          let target = if k + 1 = n then Svbtv.dout p else s.(k) in
-          match
-            Cv_verify.Containment.check ?deadline engine slice ~input_box:s'_k
-              ~target
-          with
-          | Cv_verify.Containment.Proved ->
-            if k + 1 = n then
-              (Report.Safe, Printf.sprintf "handoff S'_%d → D_out" k)
-            else
-              ( Report.Safe,
-                Printf.sprintf "handoff S'_%d → S_%d re-established" k (k + 1) )
-          | Cv_verify.Containment.Violated _ | Cv_verify.Containment.Unknown _ ->
+          let handoff =
+            Local.run ?deadline engine
+              [| Local.item (Printf.sprintf "handoff%d" k)
+                   (Cv_nn.Network.slice net ~from_:k ~to_:(k + 1))
+                   ~input_box:s'_k
+                   ~target:(if k + 1 = n then Svbtv.dout p else s.(k)) |]
+          in
+          match Local.outcome handoff.Local.results with
+          | Report.Safe when k + 1 = n ->
+            (Report.Safe, Printf.sprintf "handoff S'_%d → D_out" k)
+          | Report.Safe ->
+            ( Report.Safe,
+              Printf.sprintf "handoff S'_%d → S_%d re-established" k (k + 1) )
+          | Report.Exhausted _ as o -> (o, "")
+          | Report.Unsafe _ | Report.Inconclusive _ ->
             propagate (image s'_k k) (k + 1) (steps + 1)
         end
       in
@@ -101,42 +102,22 @@ let fix ?deadline ?(engine = Cv_verify.Containment.Ladder) (p : Problem.svbtv)
         (if detail = "" then Printf.sprintf "failing layer %d" failing_layer
          else Printf.sprintf "failing layer %d: %s" failing_layer detail) }
 
-(** [repair ?deadline ?engine ?domains p] — diagnose, then fix when the
-    failure is localised to a single layer (the case §IV-C treats);
-    multi-layer failures are reported inconclusive for the strategy to
-    fall back on. *)
-let repair ?deadline ?engine ?domains (p : Problem.svbtv) =
-  match diagnose ?deadline ?engine ?domains p with
-  | None ->
-    { Report.name = "fixer";
-      outcome = Report.Inconclusive "artifact carries no state abstractions";
-      timing = Report.sequential_timing 0.;
-      detail = "" }
-  | Some { failing = []; sub_times } ->
-    (* Nothing to fix: Prop 4 itself holds. *)
-    let wall = Array.fold_left ( +. ) 0. sub_times in
-    { Report.name = "fixer";
-      outcome = Report.Safe;
-      timing =
-        { Report.wall;
-          parallel = Array.fold_left Float.max 0. sub_times;
-          sequential = wall;
-          subproblems = Array.length sub_times };
-      detail = "no failing layer (Prop 4 holds)" }
-  | Some { failing = [ layer ]; sub_times } ->
-    let diag_wall = Array.fold_left ( +. ) 0. sub_times in
-    let attempt = fix ?deadline ?engine p ~failing_layer:layer in
-    { attempt with
-      Report.timing =
-        { attempt.Report.timing with
-          Report.wall = attempt.Report.timing.Report.wall +. diag_wall;
-          sequential = attempt.Report.timing.Report.sequential +. diag_wall } }
-  | Some { failing; _ } ->
-    { Report.name = "fixer";
-      outcome =
-        Report.Inconclusive
-          (Printf.sprintf "%d layers failed (%s): full re-verification needed"
-             (List.length failing)
-             (String.concat "," (List.map string_of_int failing)));
-      timing = Report.sequential_timing 0.;
-      detail = "" }
+(** [repair ?deadline ?engine p] — diagnose, then fix when the failure
+    is localised to a single layer (the case §IV-C treats); the
+    diagnosis is settled by {!Local.outcome} otherwise: [Safe] when
+    every layer holds (Prop 4 itself), [Exhausted] when a check ran out
+    of budget, [Inconclusive] when several layers fail, for the
+    strategy to fall back on. *)
+let repair ?deadline ?engine (p : Problem.svbtv) =
+  match diagnose ?deadline ?engine p with
+  | None -> Local.no_abstractions "fixer"
+  | Some { failing; checks } -> (
+    match (Local.outcome checks.Local.results, failing) with
+    | Report.Inconclusive _, [ layer ] ->
+      let a = fix ?deadline ?engine p ~failing_layer:layer in
+      { a with
+        Report.timing = Local.sequence checks.Local.timing a.Report.timing }
+    | Report.Safe, _ ->
+      Local.attempt ~name:"fixer" ~detail:"no failing layer (Prop 4 holds)"
+        checks
+    | _ -> Local.attempt ~name:"fixer" ~detail:"" checks)

@@ -9,23 +9,23 @@
 
 type diagnosis = {
   failing : int list;  (** 1-based layer indices whose handoff failed *)
-  sub_times : float array;  (** per-layer diagnostic times *)
+  checks : Local.run;  (** the per-layer checks and their timing *)
 }
 
-(** [diagnose ?engine ?domains p] runs the n independent Prop.-4
-    subproblems ({!Svbtv.layer_checks}) and reports which layers fail;
-    [None] when the artifact carries no state abstractions. *)
+(** [diagnose ?engine p] runs the n independent Prop.-4 subproblems
+    ({!Svbtv.layer_checks}) and reports which layers fail; [None] when
+    the artifact carries no state abstractions. *)
 val diagnose :
   ?deadline:Cv_util.Deadline.t ->
   ?engine:Cv_verify.Containment.engine ->
-  ?domains:int ->
   Problem.svbtv ->
   diagnosis option
 
 (** [fix ?engine p ~failing_layer] attempts the repair for a single
     failing (1-based) layer: rebuild [S'] by the box step, propagate
-    forward (free box inclusion first, exact handoff second), succeed
-    on recapture or on a final [D_out] check. *)
+    forward (free box inclusion first, exact handoff through
+    {!Local.run} second), succeed on recapture or on a final [D_out]
+    check. A handoff that runs out of budget makes it [Exhausted]. *)
 val fix :
   ?deadline:Cv_util.Deadline.t ->
   ?engine:Cv_verify.Containment.engine ->
@@ -33,13 +33,15 @@ val fix :
   failing_layer:int ->
   Report.attempt
 
-(** [repair ?engine ?domains p] — diagnose, then fix when the failure
-    is localised to a single layer (the case §IV-C treats); a clean
-    diagnosis is Proposition 4 itself, and multi-layer failures are
-    reported inconclusive for the strategy to fall back on. *)
+(** [repair ?engine p] — diagnose, then fix when the failure is
+    localised to a single layer (the case §IV-C treats); otherwise the
+    diagnosis is settled by {!Local.outcome}: a clean diagnosis is
+    Proposition 4 itself, a timed-out check is [Exhausted], and
+    multi-layer failures are reported inconclusive for the strategy to
+    fall back on. A fix's timing follows its diagnosis's
+    ({!Local.sequence}). *)
 val repair :
   ?deadline:Cv_util.Deadline.t ->
   ?engine:Cv_verify.Containment.engine ->
-  ?domains:int ->
   Problem.svbtv ->
   Report.attempt

@@ -12,8 +12,8 @@ type outcome =
   | Inconclusive of string
       (** the sufficient condition failed without a counterexample *)
   | Exhausted of string
-      (** the resource budget (deadline/fuel) ran out before the attempt
-          could decide; the property's status is unchanged *)
+      (** the wall-clock deadline ran out before the attempt could
+          decide; the property's status is unchanged *)
 
 type timing = {
   wall : float;  (** actual wall-clock seconds of the attempt *)

@@ -143,7 +143,7 @@ let observe s features = Monitor.observe_class s.monitor features
    round starts from a coarser route; an injected process death (a
    killed cache write) ends the process instead. *)
 let refresh s net (prop : Property.t) =
-  let cache = s.config.Batch.cache and strategy = s.config.Batch.strategy in
+  let cache = s.config.Batch.cache in
   let chain =
     match
       Cv_util.Supervisor.run ~name:"session.refresh-chain" (fun () ->
@@ -156,10 +156,7 @@ let refresh s net (prop : Property.t) =
   in
   let split_cert =
     Option.bind s.proof.Artifacts.split_cert (fun cert ->
-        match
-          Cv_verify.Split_cert.repair ?domains:strategy.Strategy.domains cert
-            net
-        with
+        match Cv_verify.Split_cert.repair cert net with
         | Some cert'
           when Box.subset_tol prop.Property.din
                  cert'.Cv_verify.Split_cert.input_box ->

@@ -58,14 +58,15 @@ let trivial p =
     timing = Report.sequential_timing wall;
     detail = "old D_out ⊆ new D_out, domain unchanged?" }
 
-(** [chain ?norm p] — the stored [S_n], inflated by ℓκ when the domain
-    also grew, fits the new specification. *)
-let chain ?(norm = Cv_lipschitz.Lipschitz.Linf) p =
+(** [chain p] — the stored [S_n], inflated by ℓκ (ℓ the stored ∞-norm
+    constant) when the domain also grew, fits the new specification. *)
+let chain p =
+  let norm = Cv_lipschitz.Lipschitz.Linf in
   let artifact = p.artifact in
   let old_prop = artifact.Cv_artifacts.Artifacts.property in
   let run () =
     match Cv_artifacts.Artifacts.final_abstraction artifact with
-    | None -> (Report.Inconclusive "artifact carries no state abstractions", "")
+    | None -> (Report.Inconclusive Local.abstraction_required, "")
     | Some s_n ->
       let kappa =
         Cv_lipschitz.Lipschitz.kappa ~norm
@@ -105,5 +106,5 @@ let chain ?(norm = Cv_lipschitz.Lipschitz.Linf) p =
 let solve ?deadline ?(config = Strategy.default_config) p =
   Strategy.run_until_decisive ?deadline
     ([ (fun () -> trivial p);
-       (fun () -> chain ~norm:config.Strategy.lipschitz_norm p) ]
+       (fun () -> chain p) ]
     @ Strategy.from_scratch ?deadline ~config p.net (target_property p))

@@ -29,9 +29,9 @@ val target_property : t -> Cv_verify.Property.t
     unchanged domain inherits the proof. *)
 val trivial : t -> Report.attempt
 
-(** [chain ?norm p] — the stored [S_n], inflated by ℓκ when the domain
-    also grew, fits the new specification. *)
-val chain : ?norm:Cv_lipschitz.Lipschitz.norm -> t -> Report.attempt
+(** [chain p] — the stored [S_n], inflated by ℓκ (ℓ the stored ∞-norm
+    constant) when the domain also grew, fits the new specification. *)
+val chain : t -> Report.attempt
 
 (** [solve ?deadline ?config p] runs the SVuSC pipeline: trivial →
     chain → the from-scratch decision on the new property

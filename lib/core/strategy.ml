@@ -20,21 +20,14 @@
 
 type config = {
   engine : Cv_verify.Containment.engine;  (** exact engine for subproblems *)
-  lipschitz_norm : Cv_lipschitz.Lipschitz.norm;
-  anchors : int list option;  (** Prop 5 anchors; [None] = every 2 layers *)
   interval_slack : float option;  (** weight-interval Prop 6 budget *)
-  domains : int option;  (** worker domains for parallel subproblems *)
 }
 
-(** A sensible default configuration (ladder subproblems — symint
-    bound first, cutoff MILP for the sides it leaves open — and ∞-norm
-    Lipschitz). *)
+(** A sensible default configuration: ladder subproblems (symint bound
+    first, cutoff MILP for the sides it leaves open) and no
+    weight-interval Prop 6. *)
 let default_config =
-  { engine = Cv_verify.Containment.Ladder;
-    lipschitz_norm = Cv_lipschitz.Lipschitz.Linf;
-    anchors = None;
-    interval_slack = None;
-    domains = None }
+  { engine = Cv_verify.Containment.Ladder; interval_slack = None }
 
 (* ------------------------------------------------------------------ *)
 (* Artifact ingredients                                                *)
@@ -231,33 +224,17 @@ let abstract_box ?cache ?deadline ~on_chain net (prop : Cv_verify.Property.t)
     detail = Printf.sprintf "%d layer abstractions" n }
 
 (* Step two: [config.engine] on the whole network, under the same
-   deadline. A timeout exhausts the decision, and its message carries
-   the engine's certified bound. *)
+   deadline, as one local subproblem: a violation is a counterexample,
+   and a timeout exhausts the decision with the engine's certified
+   bound in its message. *)
 let full ?deadline ~config net (prop : Cv_verify.Property.t) () =
-  let verdict, wall =
-    Cv_verify.Containment.check_timed ?deadline config.engine net
-      ~input_box:prop.Cv_verify.Property.din
-      ~target:prop.Cv_verify.Property.dout
-  in
-  { Report.name = "full";
-    outcome =
-      (match verdict with
-      | Cv_verify.Containment.Proved -> Report.Safe
-      | Cv_verify.Containment.Violated v -> Report.Unsafe v
-      | Cv_verify.Containment.Unknown
-          { Cv_verify.Containment.reason = Cv_verify.Containment.Timeout;
-            message;
-            best_bound } ->
-        Report.Exhausted
-          (match best_bound with
-          | None -> message
-          | Some b -> Printf.sprintf "%s [best bound %.6g]" message b)
-      | Cv_verify.Containment.Unknown u ->
-        Report.Inconclusive u.Cv_verify.Containment.message);
-    timing = Report.sequential_timing wall;
-    detail =
-      Cv_verify.Containment.engine_name config.engine
-      ^ " on the whole network" }
+  Local.run ?deadline config.engine
+    [| Local.item "network" net ~input_box:prop.Cv_verify.Property.din
+         ~target:prop.Cv_verify.Property.dout |]
+  |> Local.attempt ~direct:true ~name:"full"
+       ~detail:
+         (Cv_verify.Containment.engine_name config.engine
+         ^ " on the whole network")
 
 let scratch ?cache ?deadline ~config ~on_chain net prop =
   [ abstract_box ?cache ?deadline ~on_chain net prop;
@@ -336,13 +313,10 @@ let solve_svudc ?deadline ?(config = default_config) (p : Problem.svudc) =
   Cv_util.Trace.with_span "strategy.svudc" @@ fun () ->
   run_until_decisive ?deadline
     ([ (fun () -> Svudc.trivial p);
-       (fun () -> Svudc.prop3 ~norm:config.lipschitz_norm p);
+       (fun () -> Svudc.prop3 p);
        (fun () -> Svudc.prop1 ?deadline ~engine:config.engine p);
-       (fun () ->
-         Svudc.prop2 ?deadline ~engine:config.engine ?domains:config.domains p);
-       (fun () ->
-         Svudc.delta_cover ?deadline ~engine:config.engine
-           ?domains:config.domains p) ]
+       (fun () -> Svudc.prop2 ?deadline ~engine:config.engine p);
+       (fun () -> Svudc.delta_cover ?deadline ~engine:config.engine p) ]
     @ from_scratch ?deadline ~config p.Problem.net (Problem.svudc_property p))
 
 (* ------------------------------------------------------------------ *)
@@ -366,28 +340,13 @@ let solve_svbtv ?deadline ?(config = default_config) ?netabs
   in
   run_until_decisive ?deadline
     (prop6_attempts
-    @ [ (fun () -> Svbtv.leaf_reuse ?deadline ?domains:config.domains p);
+    @ [ (fun () -> Svbtv.leaf_reuse ?deadline p);
         (fun () ->
           (* The paper's own routes next (Prop 4 with §IV-C fixing);
              the differential extension backs them up below. *)
-          Fixer.repair ?deadline ~engine:config.engine ?domains:config.domains
-            p);
-        (fun () -> Diff_reuse.prop_diff ~norm:config.lipschitz_norm p);
-        (fun () ->
-          let n = Cv_nn.Network.num_layers p.Problem.new_net in
-          let anchors =
-            match config.anchors with
-            | Some a -> a
-            | None -> Svbtv.default_anchors n
-          in
-          if anchors = [] then
-            { Report.name = "prop5";
-              outcome = Report.Inconclusive "network too shallow for anchors";
-              timing = Report.sequential_timing 0.;
-              detail = "" }
-          else
-            Svbtv.prop5 ?deadline ~engine:config.engine
-              ?domains:config.domains ~anchors p) ]
+          Fixer.repair ?deadline ~engine:config.engine p);
+        (fun () -> Diff_reuse.prop_diff p);
+        (fun () -> Svbtv.prop5 ?deadline ~engine:config.engine p) ]
     @ from_scratch ?deadline ~config p.Problem.new_net
         (Problem.svbtv_property p))
 

@@ -17,15 +17,12 @@
 
 type config = {
   engine : Cv_verify.Containment.engine;  (** exact engine for subproblems *)
-  lipschitz_norm : Cv_lipschitz.Lipschitz.norm;
-  anchors : int list option;  (** Prop 5 anchors; [None] = every 2 layers *)
   interval_slack : float option;  (** weight-interval Prop 6 budget *)
-  domains : int option;  (** worker domains for parallel subproblems *)
 }
 
-(** A sensible default configuration (ladder subproblems — symint
-    bound first, cutoff MILP for the sides it leaves open — and ∞-norm
-    Lipschitz). *)
+(** A sensible default configuration: ladder subproblems (symint bound
+    first, cutoff MILP for the sides it leaves open) and no
+    weight-interval Prop 6. *)
 val default_config : config
 
 (** [lipschitz ?cache net] is the pair of global Lipschitz constants an
@@ -57,9 +54,10 @@ val run_until_decisive :
 (** [from_scratch ?deadline ?config net prop] is the from-scratch
     decision as the tail of an attempt chain: [abstract-box] (the box
     chain over [D_in]; Safe iff [S_n ⊆ D_out]), then [full]
-    ([config.engine] on the whole network under the same deadline; a
-    timeout is [Exhausted], and its message carries the engine's
-    certified bound). *)
+    ([config.engine] on the whole network under the same deadline, one
+    {!Local} subproblem settled by {!Local.outcome}: a violation is
+    [Unsafe], a timeout [Exhausted] with the engine's certified bound in
+    its message). *)
 val from_scratch :
   ?deadline:Cv_util.Deadline.t ->
   ?config:config ->

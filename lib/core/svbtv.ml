@@ -7,9 +7,9 @@
       footnote 3).
     - {!prop5}: reuse only the [S_⟨α⟩] at chosen anchor layers — fewer,
       multi-layer subproblems, still independent.
-    - Prop. 6 (network-abstraction reuse) lives in {!Netabs_reuse}. *)
+    - Prop. 6 (network-abstraction reuse) lives in {!Netabs_reuse}.
 
-let abstraction_required = "artifact carries no state abstractions"
+    Props 4 and 5 run and judge their subproblems through {!Local}. *)
 
 let get_abstractions (p : Problem.svbtv) =
   p.Problem.artifact.Cv_artifacts.Artifacts.state_abstractions
@@ -17,63 +17,17 @@ let get_abstractions (p : Problem.svbtv) =
 let dout (p : Problem.svbtv) =
   p.Problem.artifact.Cv_artifacts.Artifacts.property.Cv_verify.Property.dout
 
-(* One subproblem: layers [from_, to_) of f' over [input_box] into
-   [target]. *)
-let subproblem ?deadline engine net ~from_ ~to_ ~input_box ~target =
-  let slice = Cv_nn.Network.slice net ~from_ ~to_ in
-  Cv_verify.Containment.check_timed ?deadline engine slice ~input_box ~target
+(* The local subproblem [label]: layers [from_, to_) of f' over
+   [input_box] into [target]. *)
+let item (p : Problem.svbtv) label ~from_ ~to_ ~input_box ~target =
+  Local.item label
+    (Cv_nn.Network.slice p.Problem.new_net ~from_ ~to_)
+    ~input_box ~target
 
-type sub_result = {
-  label : string;
-  verdict : Cv_verify.Containment.verdict;
-  seconds : float;
-}
-
-let run_subproblems ?deadline ?domains engine net specs =
-  Cv_util.Parallel.map ?domains
-    (fun (label, from_, to_, input_box, target) ->
-      let verdict, seconds =
-        subproblem ?deadline engine net ~from_ ~to_ ~input_box ~target
-      in
-      { label; verdict; seconds })
-    specs
-
-let summarize name engine results ~wall =
-  let times = Array.map (fun r -> r.seconds) results in
-  let parallel = Array.fold_left Float.max 0. times in
-  let sequential = Array.fold_left ( +. ) 0. times in
-  let failures =
-    Array.to_list results
-    |> List.filter (fun r -> not (Cv_verify.Containment.is_proved r.verdict))
-  in
-  let timed_out =
-    List.exists
-      (fun r ->
-        match r.verdict with
-        | Cv_verify.Containment.Unknown
-            { Cv_verify.Containment.reason = Cv_verify.Containment.Timeout; _ }
-          ->
-          true
-        | _ -> false)
-      failures
-  in
-  let outcome =
-    if failures = [] then Report.Safe
-    else
-      let msg =
-        Printf.sprintf "%d/%d subproblems failed (%s)" (List.length failures)
-          (Array.length results)
-          (String.concat ", " (List.map (fun r -> r.label) failures))
-      in
-      if timed_out then Report.Exhausted msg else Report.Inconclusive msg
-  in
-  { Report.name;
-    outcome;
-    timing =
-      { Report.wall; parallel; sequential; subproblems = Array.length results };
-    detail =
-      Printf.sprintf "%d independent subproblems [%s]" (Array.length results)
-        (Cv_verify.Containment.engine_name engine) }
+let independent engine (r : Local.run) =
+  Printf.sprintf "%d independent subproblems [%s]"
+    (Array.length r.Local.results)
+    (Cv_verify.Containment.engine_name engine)
 
 (** [layer_checks ?engine ?domains p] — the n single-layer subproblems
     of Proposition 4 over the stored chain: [g'_1] over the enlarged
@@ -83,45 +37,44 @@ let layer_checks ?deadline ?(engine = Cv_verify.Containment.Ladder) ?domains
     (p : Problem.svbtv) =
   Option.map
     (fun s ->
-      let net = p.Problem.new_net in
-      let n = Cv_nn.Network.num_layers net in
+      let n = Cv_nn.Network.num_layers p.Problem.new_net in
       Array.init n (fun i ->
-          let input_box = if i = 0 then p.Problem.new_din else s.(i - 1) in
-          let target = if i = n - 1 then dout p else s.(i) in
-          (Printf.sprintf "layer%d" (i + 1), i, i + 1, input_box, target))
-      |> run_subproblems ?deadline ?domains engine net)
+          item p
+            (Printf.sprintf "layer%d" (i + 1))
+            ~from_:i ~to_:(i + 1)
+            ~input_box:(if i = 0 then p.Problem.new_din else s.(i - 1))
+            ~target:(if i = n - 1 then dout p else s.(i)))
+      |> Local.run ?deadline ?domains engine)
     (get_abstractions p)
 
 (** [prop4 ?engine ?domains p] — single-layer reuse of every stored
     abstraction ({!layer_checks}); every subproblem must hold. *)
 let prop4 ?deadline ?(engine = Cv_verify.Containment.Ladder) ?domains
     (p : Problem.svbtv) =
-  match
-    Cv_util.Timer.time (fun () -> layer_checks ?deadline ~engine ?domains p)
-  with
-  | None, _ ->
-    { Report.name = "prop4";
-      outcome = Report.Inconclusive abstraction_required;
-      timing = Report.sequential_timing 0.;
-      detail = "" }
-  | Some results, wall -> summarize "prop4" engine results ~wall
+  match layer_checks ?deadline ~engine ?domains p with
+  | None -> Local.no_abstractions "prop4"
+  | Some r -> Local.attempt ~name:"prop4" ~detail:(independent engine r) r
 
-(** [prop5 ?engine ?domains ~anchors p] — multi-layer reuse at the
-    anchor layers [⟨α_1⟩ < … < ⟨α_l⟩] (paper-style 1-based indices with
-    [1 < α < n]): subproblems run f' from one anchor's abstraction to
-    the next. Fewer but harder subproblems than {!prop4}. *)
-let prop5 ?deadline ?(engine = Cv_verify.Containment.Ladder) ?domains
-    ~anchors (p : Problem.svbtv) =
+(** [default_anchors n] picks anchors at roughly every other layer —
+    the paper's example pattern ([α = 2, 4] for [n = 6]). *)
+let default_anchors n =
+  let rec go a = if a >= n then [] else a :: go (a + 2) in
+  go 2
+
+(** [prop5 ?engine ?anchors p] — multi-layer reuse at the anchor layers
+    [⟨α_1⟩ < … < ⟨α_l⟩] (paper-style 1-based indices with [1 < α < n];
+    default {!default_anchors}): subproblems run f' from one anchor's
+    abstraction to the next. Fewer but harder subproblems than
+    {!prop4}. *)
+let prop5 ?deadline ?(engine = Cv_verify.Containment.Ladder) ?anchors
+    (p : Problem.svbtv) =
   match get_abstractions p with
-  | None ->
-    { Report.name = "prop5";
-      outcome = Report.Inconclusive abstraction_required;
-      timing = Report.sequential_timing 0.;
-      detail = "" }
+  | None -> Local.no_abstractions "prop5"
   | Some s ->
-    let net = p.Problem.new_net in
-    let n = Cv_nn.Network.num_layers net in
-    let anchors = List.sort_uniq compare anchors in
+    let n = Cv_nn.Network.num_layers p.Problem.new_net in
+    let anchors =
+      List.sort_uniq compare (Option.value anchors ~default:(default_anchors n))
+    in
     if List.exists (fun a -> a <= 1 || a >= n) anchors || anchors = [] then
       { Report.name = "prop5";
         outcome =
@@ -134,31 +87,22 @@ let prop5 ?deadline ?(engine = Cv_verify.Containment.Ladder) ?domains
         | a :: (b :: _ as rest) -> (a, b) :: pairs rest
         | _ -> []
       in
-      let specs =
+      let r =
         pairs bounds
         |> List.map (fun (from_, to_) ->
-               let input_box =
-                 if from_ = 0 then p.Problem.new_din else s.(from_ - 1)
-               in
-               let target = if to_ = n then dout p else s.(to_ - 1) in
-               ( Printf.sprintf "layers%d-%d" (from_ + 1) to_,
-                 from_, to_, input_box, target ))
+               item p
+                 (Printf.sprintf "layers%d-%d" (from_ + 1) to_)
+                 ~from_ ~to_
+                 ~input_box:
+                   (if from_ = 0 then p.Problem.new_din else s.(from_ - 1))
+                 ~target:(if to_ = n then dout p else s.(to_ - 1)))
         |> Array.of_list
+        |> Local.run ?deadline engine
       in
-      let results, wall =
-        Cv_util.Timer.time (fun () ->
-            run_subproblems ?deadline ?domains engine net specs)
-      in
-      summarize "prop5" engine results ~wall
+      Local.attempt ~name:"prop5" ~detail:(independent engine r) r
     end
 
-(** [default_anchors n] picks anchors at roughly every other layer —
-    the paper's example pattern ([α = 2, 4] for [n = 6]). *)
-let default_anchors n =
-  let rec go a = if a >= n then [] else a :: go (a + 2) in
-  go 2
-
-(** [leaf_reuse ?domains p] — revalidate a stored bisection certificate
+(** [leaf_reuse ?deadline p] — revalidate a stored bisection certificate
     (the ReluVal-style split-tree artifact) against the fine-tuned
     network: one-shot symbolic intervals per leaf, embarrassingly
     parallel. Each leaf was chosen to make the abstraction tight there,
@@ -166,7 +110,7 @@ let default_anchors n =
     are re-split under one shared budget ({!Cv_verify.Split_cert.repair}).
     Covers the certificate's domain; any genuine enlargement beyond it
     is checked with the splitting engine on the new network. *)
-let leaf_reuse ?deadline ?domains (p : Problem.svbtv) =
+let leaf_reuse ?deadline (p : Problem.svbtv) =
   match p.Problem.artifact.Cv_artifacts.Artifacts.split_cert with
   | None ->
     { Report.name = "leaf-reuse";
@@ -185,8 +129,7 @@ let leaf_reuse ?deadline ?domains (p : Problem.svbtv) =
           "" )
       else
         match
-          Cv_verify.Split_cert.repair_detailed ?deadline ?domains cert
-            p.Problem.new_net
+          Cv_verify.Split_cert.repair_detailed ?deadline cert p.Problem.new_net
         with
         | None ->
           ( Report.Inconclusive

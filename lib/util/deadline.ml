@@ -1,4 +1,4 @@
-(** Wall-clock deadlines and fuel budgets for the solver stack.
+(** Wall-clock deadlines for the solver stack.
 
     Every potentially long-running engine (simplex pivots, branch-and-
     bound nodes, abstract-interpretation layers, bisection splits) takes
@@ -11,16 +11,13 @@
     re-verification triggered by a monitor event must never hang the
     deployment.
 
-    A value combines two budgets, either of which may be absent:
-    - a wall-clock deadline (absolute time on the {e monotonic}
-      timeline of {!Clock} — immune to NTP steps and suspend-time
-      wall-clock adjustments);
-    - a fuel counter (iteration cap), decremented by {!burn}.
+    A deadline is an absolute time on the {e monotonic} timeline of
+    {!Clock} — immune to NTP steps and suspend-time wall-clock
+    adjustments. Clock reads cost a syscall, so hot loops poll through
+    {!check_every}, which samples the clock once per [mask+1]
+    iterations. *)
 
-    Clock reads cost a syscall, so hot loops poll through {!check_every}
-    which samples the clock once per [mask+1] iterations. *)
-
-(** Raised by {!check} / {!burn} once the budget is exhausted. *)
+(** Raised by {!check} once the deadline has passed. *)
 exception Expired of string
 
 (** [now ()] is the deadline layer's time source: monotonic seconds
@@ -30,10 +27,9 @@ let now () = Clock.now ()
 type t = {
   expires_at : float option;  (** absolute monotonic {!now} time *)
   seconds : float;  (** originally requested budget, for messages *)
-  mutable fuel : int option;  (** remaining iterations, when capped *)
 }
 
-let no_budget = { expires_at = None; seconds = Float.infinity; fuel = None }
+let no_budget = { expires_at = None; seconds = Float.infinity }
 
 (** [make ~seconds] is a deadline [seconds] from now. A non-positive
     budget (or an armed {!Fault.Deadline_zero} fault) is already
@@ -43,35 +39,26 @@ let make ~seconds =
   let expires_at =
     if seconds <= 0. then Float.neg_infinity else now () +. seconds
   in
-  { expires_at = Some expires_at; seconds; fuel = None }
-
-(** [of_fuel n] is a pure iteration budget: [n] calls to {!burn}. *)
-let of_fuel n = { expires_at = None; seconds = Float.infinity; fuel = Some n }
-
-(** [with_fuel t n] adds an iteration cap to an existing deadline. *)
-let with_fuel t n = { t with fuel = Some n }
+  { expires_at = Some expires_at; seconds }
 
 (** [remaining t] is the wall-clock budget left, in seconds
     ([infinity] when no deadline is set, negative once expired). *)
 let remaining t =
   match t.expires_at with None -> Float.infinity | Some at -> at -. now ()
 
-(** [expired t] polls both budgets without raising. *)
+(** [expired t] polls the deadline without raising. *)
 let expired t =
-  (match t.fuel with Some f when f <= 0 -> true | _ -> false)
-  || match t.expires_at with None -> false | Some at -> now () > at
+  match t.expires_at with None -> false | Some at -> now () > at
 
 (** [expired_opt d] is [expired] lifted to the [option] threaded through
     the solvers ([None] = unlimited). *)
 let expired_opt = function None -> false | Some t -> expired t
 
-(** [check t] raises {!Expired} when the budget is gone. *)
+(** [check t] raises {!Expired} when the deadline has passed. *)
 let check t =
   if expired t then
     raise
-      (Expired
-         (if t.seconds = Float.infinity then "iteration budget exhausted"
-          else Printf.sprintf "wall-clock budget of %gs exhausted" t.seconds))
+      (Expired (Printf.sprintf "wall-clock budget of %gs exhausted" t.seconds))
 
 (** [check_opt d] is [check] on [Some t], a no-op on [None]. *)
 let check_opt = function None -> () | Some t -> check t
@@ -83,23 +70,3 @@ let check_every ~mask iter d =
   match d with
   | None -> ()
   | Some t -> if iter land mask = 0 then check t
-
-(** [burn t] consumes one unit of fuel and then checks both budgets. *)
-let burn t =
-  (match t.fuel with Some f -> t.fuel <- Some (f - 1) | None -> ());
-  check t
-
-(** [burn_opt d] is [burn] on [Some t], a no-op on [None]. *)
-let burn_opt = function None -> () | Some t -> burn t
-
-(** [sub t ~seconds] is a child budget capped at [seconds] but never
-    outliving [t] — used by escalation chains to give a cheap stage a
-    slice of the remaining budget. *)
-let sub t ~seconds =
-  let child = make ~seconds in
-  match t.expires_at with
-  | None -> child
-  | Some at ->
-    (match child.expires_at with
-    | Some cat when cat <= at -> child
-    | _ -> { child with expires_at = Some at; seconds = t.seconds })

@@ -1,4 +1,4 @@
-(** Wall-clock deadlines and fuel budgets for the solver stack.
+(** Wall-clock deadlines for the solver stack.
 
     Engines take an optional [t] and poll it at their natural iteration
     boundary (simplex pivot, branch-and-bound node, abstract layer,
@@ -6,8 +6,8 @@
     the verdict layer and turned into a structured [Unknown] — or
     return their best incumbent bound. *)
 
-(** Raised by {!check} / {!burn} once the budget is exhausted. The
-    payload is a human-readable description of which budget ran out. *)
+(** Raised by {!check} once the deadline has passed. The payload is a
+    human-readable description of the budget that ran out. *)
 exception Expired of string
 
 (** [now ()] is the deadline layer's time source: monotonic seconds
@@ -26,24 +26,18 @@ val no_budget : t
     armed {!Fault.Deadline_zero} fault forces the budget to zero. *)
 val make : seconds:float -> t
 
-(** [of_fuel n] is a pure iteration budget: [n] calls to {!burn}. *)
-val of_fuel : int -> t
-
-(** [with_fuel t n] adds an iteration cap to an existing deadline. *)
-val with_fuel : t -> int -> t
-
 (** [remaining t] is the wall-clock budget left in seconds ([infinity]
     when no deadline is set, negative once expired). *)
 val remaining : t -> float
 
-(** [expired t] polls both budgets without raising. *)
+(** [expired t] polls the deadline without raising. *)
 val expired : t -> bool
 
 (** [expired_opt d] is {!expired} lifted to the [option] threaded
     through the solvers ([None] = unlimited). *)
 val expired_opt : t option -> bool
 
-(** [check t] raises {!Expired} when the budget is gone. *)
+(** [check t] raises {!Expired} when the deadline has passed. *)
 val check : t -> unit
 
 (** [check_opt d] is {!check} on [Some t], a no-op on [None]. *)
@@ -53,14 +47,3 @@ val check_opt : t option -> unit
     [iter land mask = 0]; [mask] must be [2^k - 1]. Cheap enough for
     per-pivot use in hot loops. *)
 val check_every : mask:int -> int -> t option -> unit
-
-(** [burn t] consumes one unit of fuel, then checks both budgets. *)
-val burn : t -> unit
-
-(** [burn_opt d] is {!burn} on [Some t], a no-op on [None]. *)
-val burn_opt : t option -> unit
-
-(** [sub t ~seconds] is a child budget capped at [seconds] but never
-    outliving [t] — escalation chains use it to give one stage a slice
-    of the remaining budget. *)
-val sub : t -> seconds:float -> t

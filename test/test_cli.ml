@@ -194,6 +194,37 @@ let widen_rejections =
     ("serve --widen negative", serve "-0.5");
     ("serve --widen nan", serve "nan") ]
 
+(* A --checkpoint-dir whose parent does not exist is an input error:
+   one "contiver: error:" line and exit 123, not an uncaught
+   Unix_error. Depends on test_generate_and_describe. *)
+let missing_parent_dir =
+  let path f = Filename.concat tmp_dir f in
+  let check name args () =
+    ignore (Sys.command ("rm -rf " ^ Filename.quote (path "nodir")));
+    let code, err =
+      run_out ~with_stderr:true (args @ [ "--checkpoint-dir"; path "nodir/ck" ])
+    in
+    Alcotest.(check int) (name ^ " exit") 123 code;
+    let prefix = "contiver: error: mkdir " ^ path "nodir/ck" ^ ": " in
+    match List.filter (( <> ) "") (String.split_on_char '\n' err) with
+    | [ line ] when String.starts_with ~prefix line -> ()
+    | lines ->
+      Alcotest.failf "%s: expected one %S line, got %S" name prefix
+        (String.concat "\n" lines)
+  in
+  let batch () =
+    let manifest = path "nodir_manifest.json" in
+    let oc = open_out manifest in
+    output_string oc
+      {|{"jobs":[{"id":"v1","mode":"verify","model":"head1.json","property":"property.json"}]}|};
+    close_out oc;
+    check "batch" [ "batch"; "--manifest"; manifest ] ()
+  in
+  [ ( "serve checkpoint dir without parent",
+      check "serve" [ "serve"; "--drive"; "--rounds"; "1"; "--drive-steps"; "50" ]
+    );
+    ("batch checkpoint dir without parent", batch) ]
+
 let test_chaos_campaign () =
   check_run "chaos campaign is sound" [ "chaos"; "--seed"; "2"; "--rounds"; "3" ]
 
@@ -474,4 +505,7 @@ let () =
             Alcotest.test_case "batch jobs invariance" `Quick
               test_batch_jobs_invariance;
             Alcotest.test_case "batch loads each model once" `Quick
-              test_batch_loads_model_once ] ) ]
+              test_batch_loads_model_once ]
+        @ List.map
+            (fun (name, f) -> Alcotest.test_case name `Quick f)
+            missing_parent_dir ) ]

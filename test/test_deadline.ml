@@ -15,20 +15,6 @@ let relu_net seed dims =
 (* Deadline primitives                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let test_fuel () =
-  let d = Cv_util.Deadline.of_fuel 3 in
-  Alcotest.(check bool) "fresh fuel" false (Cv_util.Deadline.expired d);
-  Cv_util.Deadline.burn d;
-  Cv_util.Deadline.burn d;
-  (* The third burn exhausts the counter. *)
-  (try
-     for _ = 1 to 10 do
-       Cv_util.Deadline.burn d
-     done;
-     Alcotest.fail "fuel should run out"
-   with Cv_util.Deadline.Expired _ -> ());
-  Alcotest.(check bool) "spent" true (Cv_util.Deadline.expired d)
-
 let test_wall_clock () =
   let d = expired_deadline () in
   Alcotest.(check bool) "already expired" true (Cv_util.Deadline.expired d);
@@ -40,17 +26,6 @@ let test_wall_clock () =
     (Cv_util.Deadline.expired Cv_util.Deadline.no_budget);
   Alcotest.(check bool) "generous budget lives" false
     (Cv_util.Deadline.expired (Cv_util.Deadline.make ~seconds:3600.))
-
-let test_sub_budget () =
-  let parent = expired_deadline () in
-  (* A child slice can never outlive its parent. *)
-  let child = Cv_util.Deadline.sub parent ~seconds:3600. in
-  Alcotest.(check bool) "child capped by parent" true
-    (Cv_util.Deadline.expired child);
-  let parent2 = Cv_util.Deadline.make ~seconds:3600. in
-  let child2 = Cv_util.Deadline.sub parent2 ~seconds:1800. in
-  Alcotest.(check bool) "tighter child stands" true
-    (Cv_util.Deadline.remaining child2 <= 1800.)
 
 (* ------------------------------------------------------------------ *)
 (* Monotonic clock seam                                                *)
@@ -231,6 +206,53 @@ let test_svudc_exhausts () =
     Alcotest.failf "expected Exhausted, got %s"
       (Cv_core.Report.outcome_string v)
 
+(* One rule for every route's local subproblems: under one expired
+   deadline each route called on its own answers Exhausted, and none
+   raises (Prop 2's S' rebuild included). The scenario is test_core's:
+   the 4-6-5-4-1 ReLU net of seed 3, its symint chain widened by 0.05
+   as the artifact, D_out = S_n, D_in enlarged by 0.3. *)
+let test_routes_exhaust () =
+  let net = relu_net 3 [ 4; 6; 5; 4; 1 ] in
+  let din = Cv_interval.Box.uniform 4 ~lo:0. ~hi:1. in
+  let chain =
+    Cv_domains.Analyzer.abstractions ~widen:0.05 Cv_domains.Analyzer.Symint
+      net din
+  in
+  let prop = Cv_verify.Property.make ~din ~dout:chain.(Array.length chain - 1) in
+  let artifact =
+    Cv_artifacts.Artifacts.make ~state_abstractions:chain ~property:prop ~net
+      ~solver:"symint-chain" ~solve_seconds:1. ()
+  in
+  let new_din = Cv_interval.Box.expand 0.3 din in
+  let svudc = Cv_core.Problem.svudc ~net ~artifact ~new_din in
+  let svbtv =
+    Cv_core.Problem.svbtv ~old_net:net ~new_net:net ~artifact ~new_din
+  in
+  let deadline = expired_deadline () in
+  let full =
+    List.nth
+      (Cv_core.Strategy.from_scratch ~deadline net
+         (Cv_core.Problem.svudc_property svudc))
+      1
+  in
+  List.iter
+    (fun (name, attempt) ->
+      match (attempt ()).Cv_core.Report.outcome with
+      | Cv_core.Report.Exhausted _ -> ()
+      | o ->
+        Alcotest.failf "%s: expected Exhausted, got %s" name
+          (Cv_core.Report.outcome_string o)
+      | exception e ->
+        Alcotest.failf "%s raised %s" name (Printexc.to_string e))
+    [ ("prop1", fun () -> Cv_core.Svudc.prop1 ~deadline svudc);
+      ("prop2", fun () -> Cv_core.Svudc.prop2 ~deadline svudc);
+      ("delta-cover", fun () -> Cv_core.Svudc.delta_cover ~deadline svudc);
+      ("prop4", fun () -> Cv_core.Svbtv.prop4 ~deadline svbtv);
+      ( "prop5",
+        fun () -> Cv_core.Svbtv.prop5 ~deadline ~anchors:[ 2 ] svbtv );
+      ("fixer", fun () -> Cv_core.Fixer.repair ~deadline svbtv);
+      ("full", full) ]
+
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -265,9 +287,7 @@ let test_fault_env_parsing () =
 let () =
   Alcotest.run "cv_deadline"
     [ ( "deadline",
-        [ Alcotest.test_case "fuel" `Quick test_fuel;
-          Alcotest.test_case "wall clock" `Quick test_wall_clock;
-          Alcotest.test_case "sub budget" `Quick test_sub_budget;
+        [ Alcotest.test_case "wall clock" `Quick test_wall_clock;
           Alcotest.test_case "fake clock" `Quick test_fake_clock_deadline;
           Alcotest.test_case "clock monotonic" `Quick test_clock_monotonic ] );
       ( "solvers",
@@ -288,7 +308,9 @@ let () =
           Alcotest.test_case "analyzer expiry" `Quick test_analyzer_expiry;
           Alcotest.test_case "split cert degrades" `Quick
             test_split_cert_degrades;
-          Alcotest.test_case "svudc exhausts" `Quick test_svudc_exhausts ] );
+          Alcotest.test_case "svudc exhausts" `Quick test_svudc_exhausts;
+          Alcotest.test_case "every route exhausts" `Quick test_routes_exhaust
+        ] );
       ( "faults",
         [ Alcotest.test_case "deadline zero" `Quick test_fault_deadline_zero;
           Alcotest.test_case "solver failure" `Quick test_fault_solver_failure;
